@@ -1,33 +1,41 @@
 """The example-server service: pipelines streaming batches to consumers under
 credit-based flow control.
 
-Each connection takes one pipeline slot. A producer thread fills a bounded
+Each connection takes one pipeline slot and three threads, and every handoff
+between them blocks on the event it waits for. A producer fills a bounded
 queue (capacity = the consumer's max_credits, so server-side buffering can
-never exceed it); the sender drains the queue only while the consumer has
-granted credits. CREDIT and STATS frames arrive on a per-connection reader
-thread. A server owns a shard subset (index mod server_count) and splits it
-again across its pipeline slots, so concurrent consumers receive disjoint
-record sets.
+never exceed it); the connection's thread sends one queued batch per credit
+of a semaphore; a reader releases that semaphore per granted credit, answers
+STATS, and releases it once more when the read side ends, to wake the sender.
+After END or ERROR the server half-closes, waits on the reader for the peer's
+EOF, drains the queue once to free a blocked producer, and joins both threads;
+the last slot to finish shuts the listener down, which ends run(). A server
+owns a shard subset (index mod server_count) and splits it again across its
+pipeline slots, so concurrent consumers receive disjoint record sets.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import os
 import queue
 import socket
 import subprocess
 import sys
 import tempfile
 import threading
-import time
 from dataclasses import dataclass, replace
 
 from .acoustic import SimulatorConfig
-from .errors import EsfError, LaunchError
-from .pipeline import PipelineConfig, build_pipeline
+from .errors import EsfError, FormatError, LaunchError
+from .pipeline import MapStats, PipelineConfig, build_pipeline
 from .util import hash64
 from .vtlp import WarpSpec
 from .wire import FrameReader, MsgType, encode_batch_frame, encode_frame
+
+_CLOSE_TIMEOUT_S = 5.0  # how long a finished connection waits for the peer's EOF
 
 
 @dataclass
@@ -55,17 +63,37 @@ def _owned_shards(paths: list[str], index: int, count: int) -> list[str]:
     return [p for i, p in enumerate(paths) if i % count == index]
 
 
+def _hello_credits(msg_type: MsgType, payload: bytes) -> int:
+    """The max_credits a HELLO asks for; ValueError carries the refusal."""
+    if msg_type != MsgType.HELLO:
+        raise ValueError("expected HELLO")
+    try:
+        hello = json.loads(payload.decode("utf-8"))
+    except ValueError:
+        raise ValueError("HELLO is not UTF-8 JSON") from None
+    if not isinstance(hello, dict):
+        raise ValueError("HELLO is not a JSON object")
+    if hello.get("version") != 1:
+        raise ValueError(f"version mismatch: {hello.get('version')}")
+    max_credits = hello.get("max_credits", 4)
+    if type(max_credits) is not int or max_credits < 1:
+        raise ValueError("max_credits must be an integer >= 1")
+    return max_credits
+
+
+def _error_frame(message: str) -> bytes:
+    return encode_frame(MsgType.ERROR, json.dumps({"message": message}).encode("utf-8"))
+
+
 class _Connection:
-    def __init__(self, server: "ExampleServer", sock: socket.socket, slot: int):
-        self.server = server
+    def __init__(self, sock: socket.socket, max_credits: int):
         self.sock = sock
-        self.slot = slot
         self.write_lock = threading.Lock()
-        self.credits = 0
-        self.credit_cv = threading.Condition()
+        self.credits = threading.Semaphore(0)
+        self.queue: queue.Queue = queue.Queue(maxsize=max_credits)
+        self.map_stats = MapStats()
         self.batches_sent = 0
         self.epoch = 0
-        self.queue: queue.Queue = None  # sized after HELLO
         self.alive = True
 
     def send_frame(self, data: bytes) -> None:
@@ -74,88 +102,78 @@ class _Connection:
 
     def stats_payload(self) -> bytes:
         return json.dumps({
-            "batches_sent": self.batches_sent,
-            "buffered": self.queue.qsize() if self.queue is not None else 0,
-            "epoch": self.epoch,
-        }).encode("utf-8")
+            "batches_sent": self.batches_sent, "buffered": self.queue.qsize(),
+            "epoch": self.epoch, "skipped": self.map_stats.skipped}).encode("utf-8")
 
     def reader_loop(self, reader: FrameReader) -> None:
         try:
-            while self.alive:
-                frame = reader.read_frame()
-                if frame is None:
-                    break
-                msg_type, payload = frame
+            for msg_type, payload in iter(reader.read_frame, None):
                 if msg_type == MsgType.CREDIT:
                     grant = int.from_bytes(payload[:4], "little")
-                    with self.credit_cv:
-                        self.credits += grant
-                        self.credit_cv.notify_all()
-                elif msg_type == MsgType.STATS:
+                    # more than a consumer may hold; Semaphore.release is O(grant)
+                    if grant > self.queue.maxsize:
+                        raise FormatError(f"CREDIT grant {grant} exceeds max_credits")
+                    if grant:
+                        self.credits.release(grant)
+                elif msg_type == MsgType.STATS and self.alive:
                     self.send_frame(encode_frame(MsgType.STATS, self.stats_payload()))
                 # other client-to-server types are ignored
         except EsfError:
             # corrupt or malformed traffic: reset the connection
-            try:
+            with contextlib.suppress(OSError):
                 self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
         except OSError:
             pass
         finally:
             # whichever way the read side ends, the consumer is gone (or the
-            # stream is complete); release the sender so the slot can finish
+            # stream is complete); wake the sender so the slot can finish
             self.alive = False
-            with self.credit_cv:
-                self.credit_cv.notify_all()
-
-    def _put(self, item) -> bool:
-        while self.alive:
-            try:
-                self.queue.put(item, timeout=0.2)  # blocks at max_credits: backpressure
-                return True
-            except queue.Full:
-                continue
-        return False
+            self.credits.release()
 
     def producer_loop(self, cfg: ServerConfig, slot_cfg: PipelineConfig) -> None:
         try:
             for epoch in range(cfg.epochs):
                 self.epoch = epoch
                 for batch in build_pipeline(slot_cfg, cfg.warp_spec, cfg.sim_config,
-                                            epoch=epoch):
-                    if not self._put(batch):
+                                            epoch=epoch, stats=self.map_stats):
+                    self.queue.put(batch)  # blocks at max_credits: backpressure
+                    if not self.alive:
                         return
-            self._put(None)  # end of stream
+            self.queue.put(None)  # end of stream
         except Exception as exc:  # pipeline failure: tell the consumer
-            self._put(exc)
+            self.queue.put(exc)
 
     def sender_loop(self) -> None:
-        ordinal = 0
-        while self.alive:
-            with self.credit_cv:
-                while self.credits <= 0 and self.alive:
-                    self.credit_cv.wait(timeout=0.5)
-                if not self.alive:
-                    return
-            try:
-                item = self.queue.get(timeout=0.2)
-            except queue.Empty:
-                continue
+        for ordinal in itertools.count():
+            self.credits.acquire()  # a granted credit, or the reader's last release
+            if not self.alive:
+                return
+            item = self.queue.get()
             if item is None:
                 self.send_frame(encode_frame(MsgType.END, b""))
                 return
             if isinstance(item, Exception):
-                msg = json.dumps({"message": str(item)}).encode("utf-8")
-                self.send_frame(encode_frame(MsgType.ERROR, msg))
+                self.send_frame(_error_frame(str(item)))
                 return
-            with self.credit_cv:
-                self.credits -= 1
             # count before the write: the write lock orders the frame ahead
             # of any STATS reply that reports it
             self.batches_sent += 1
             self.send_frame(encode_batch_frame(ordinal, item))
-            ordinal += 1
+
+    def close(self, producer: threading.Thread, reader: threading.Thread) -> None:
+        """Half-close, wait for the peer's EOF, then join both threads."""
+        self.alive = False
+        with contextlib.suppress(queue.Empty):
+            while True:  # frees a producer blocked on a full queue
+                self.queue.get_nowait()
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_WR)
+        reader.join(_CLOSE_TIMEOUT_S)
+        if reader.is_alive():
+            with contextlib.suppress(OSError):
+                self.sock.shutdown(socket.SHUT_RDWR)
+            reader.join()
+        producer.join()
 
 
 class ExampleServer:
@@ -165,10 +183,9 @@ class ExampleServer:
         self.cfg = cfg
         self._listener: socket.socket | None = None
         self._next_slot = 0
-        self._slot_lock = threading.Lock()
-        self._done = threading.Event()
         self._slots_finished = 0
-        self._threads: list[threading.Thread] = []
+        self._slot_lock = threading.Lock()
+        self._slot_threads: list[threading.Thread] = []
         owned = _owned_shards(cfg.pipeline.shard_paths, cfg.server_index,
                               cfg.server_count)
         self._slot_configs = []
@@ -180,108 +197,90 @@ class ExampleServer:
 
     @property
     def endpoint(self) -> tuple[str, int]:
-        host, port = self._listener.getsockname()[:2]
-        return host, port
+        return tuple(self._listener.getsockname()[:2])
 
     def start(self) -> tuple[str, int]:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((self.cfg.host, self.cfg.port))
         sock.listen(16)
-        sock.settimeout(0.2)
         self._listener = sock
         return self.endpoint
 
     def _handle(self, sock: socket.socket) -> None:
-        conn = None
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reader = FrameReader(sock.recv)
             frame = reader.read_frame()
             if frame is None:
                 return
-            msg_type, payload = frame
-            if msg_type != MsgType.HELLO:
-                sock.sendall(encode_frame(MsgType.ERROR, b'{"message": "expected HELLO"}'))
+            try:
+                max_credits = _hello_credits(*frame)
+                with self._slot_lock:
+                    slot = self._next_slot
+                    if slot >= self.cfg.num_pipelines:
+                        raise ValueError("no pipeline slots left")
+                    self._next_slot += 1
+                    self._slot_threads.append(threading.current_thread())
+            except ValueError as exc:  # refused: no slot taken
+                sock.sendall(_error_frame(str(exc)))
                 return
-            hello = json.loads(payload.decode("utf-8"))
-            if hello.get("version") != 1:
-                sock.sendall(encode_frame(
-                    MsgType.ERROR,
-                    json.dumps({"message": f"version mismatch: {hello.get('version')}"
-                                }).encode("utf-8")))
-                return
-            max_credits = int(hello.get("max_credits", 4))
-            if max_credits < 1:
-                sock.sendall(encode_frame(MsgType.ERROR, b'{"message": "max_credits < 1"}'))
-                return
-            with self._slot_lock:
-                if self._next_slot >= self.cfg.num_pipelines:
-                    sock.sendall(encode_frame(
-                        MsgType.ERROR, b'{"message": "no pipeline slots left"}'))
-                    return
-                slot = self._next_slot
-                self._next_slot += 1
-            conn = _Connection(self, sock, slot)
-            conn.queue = queue.Queue(maxsize=max_credits)
+            self._serve_slot(sock, reader, slot, max_credits)
+        except (EsfError, OSError):
+            pass
+        finally:
+            sock.close()
+
+    def _serve_slot(self, sock: socket.socket, reader: FrameReader, slot: int,
+                    max_credits: int) -> None:
+        conn = _Connection(sock, max_credits)
+        threads = (threading.Thread(target=conn.producer_loop,
+                                    args=(self.cfg, self._slot_configs[slot]),
+                                    daemon=True, name=f"esf-producer-{slot}"),
+                   threading.Thread(target=conn.reader_loop, args=(reader,),
+                                    daemon=True, name=f"esf-reader-{slot}"))
+        for t in threads:
+            t.start()
+        try:
             reply = json.dumps({"version": 1, "slot": slot,
                                 "num_slots": self.cfg.num_pipelines,
                                 "epochs": self.cfg.epochs}).encode("utf-8")
             conn.send_frame(encode_frame(MsgType.HELLO, reply))
-            producer = threading.Thread(
-                target=conn.producer_loop, args=(self.cfg, self._slot_configs[slot]),
-                daemon=True, name=f"esf-producer-{slot}")
-            reader_thread = threading.Thread(
-                target=conn.reader_loop, args=(reader,), daemon=True,
-                name=f"esf-reader-{slot}")
-            producer.start()
-            reader_thread.start()
-            try:
-                conn.sender_loop()
-            finally:
-                conn.alive = False
-                with self._slot_lock:
-                    self._slots_finished += 1
-                    if self._slots_finished >= self.cfg.num_pipelines:
-                        self._done.set()
-        except (EsfError, OSError):
-            pass
+            conn.sender_loop()
         finally:
-            if conn is not None:
-                conn.alive = False
-            # linger briefly so the peer can drain END before the reset
-            time.sleep(0.05)
-            try:
-                sock.close()
-            except OSError:
-                pass
+            conn.close(*threads)
+            with self._slot_lock:
+                self._slots_finished += 1
+                last = self._slots_finished == self.cfg.num_pipelines
+            if last:  # wakes run()'s blocked accept with EINVAL
+                self._listener.shutdown(socket.SHUT_RDWR)
 
-    def run(self, stop: threading.Event | None = None) -> None:
+    def run(self) -> None:
         """Accept consumers until every pipeline slot has completed its epochs."""
         if self._listener is None:
             self.start()
         try:
-            while not self._done.is_set() and not (stop and stop.is_set()):
+            while True:
                 try:
                     sock, _ = self._listener.accept()
-                except socket.timeout:
-                    continue
-                t = threading.Thread(target=self._handle, args=(sock,), daemon=True)
-                t.start()
-                self._threads.append(t)
-            for t in self._threads:
-                t.join(timeout=5.0)
+                except OSError:
+                    if self._slots_finished < self.cfg.num_pipelines:
+                        raise
+                    break  # the last slot shut the listener down
+                threading.Thread(target=self._handle, args=(sock,), daemon=True).start()
+            for t in self._slot_threads:
+                t.join()
         finally:
             self._listener.close()
 
 
-def serve(cfg: ServerConfig, *, ready=None, stop: threading.Event | None = None) -> None:
+def serve(cfg: ServerConfig, *, ready=None) -> None:
     """Run a server until its configured epochs complete on every slot."""
     server = ExampleServer(cfg)
     endpoint = server.start()
     if ready is not None:
         ready(endpoint)
-    server.run(stop)
+    server.run()
 
 
 def _readline_timeout(proc: subprocess.Popen, timeout: float) -> str:
@@ -302,7 +301,6 @@ class ServerProcess:
     process: subprocess.Popen
     host: str
     port: int
-    config_path: str = ""
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -344,28 +342,27 @@ def launch_servers(n: int, config: dict, *, pipelines_per_server=1,
     try:
         for j in range(n):
             cfg = json.loads(json.dumps(config))  # deep copy
-            server_cfg = cfg.setdefault("server", {})
-            server_cfg.update({
-                "host": "127.0.0.1", "port": 0,
-                "num_pipelines": pipelines[j],
-                "epochs": epochs,
-                "server_index": j, "server_count": n,
-            })
+            cfg.setdefault("server", {}).update({
+                "host": "127.0.0.1", "port": 0, "num_pipelines": pipelines[j],
+                "epochs": epochs, "server_index": j, "server_count": n})
             cfg.setdefault("pipeline", {})["seed"] = seed_base + j
             with tempfile.NamedTemporaryFile(
                     "w", suffix=f".server{j}.json", delete=False) as fh:
                 json.dump(cfg, fh)
-                config_path = fh.name
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "esf", "serve", "--config", config_path],
-                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-            line = _readline_timeout(proc, startup_timeout)
+            try:
+                # stderr is inherited, so a server's traceback stays readable
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "esf", "serve", "--config", fh.name],
+                    stdout=subprocess.PIPE, text=True)
+                line = _readline_timeout(proc, startup_timeout)
+            finally:
+                os.unlink(fh.name)  # read by the time the server is listening
             if not line.startswith("LISTENING "):
                 proc.kill()
                 raise LaunchError(f"server {j} failed to announce its endpoint "
                                   f"(got {line!r})", index=j)
             host, port = line.split()[1].rsplit(":", 1)
-            procs.append(ServerProcess(j, proc, host, int(port), config_path))
+            procs.append(ServerProcess(j, proc, host, int(port)))
     except Exception:
         for p in procs:
             p.kill()

@@ -6,11 +6,14 @@ import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from esf import server as server_mod
 from esf.client import connect_consumer
 from esf.errors import DeliveryError
 from esf.pipeline import PipelineConfig
+from esf.recordio import UtteranceRecord, write_shards
 from esf.server import ExampleServer, ServerConfig, launch_servers
 from esf.synth import write_synth_corpus
 from esf.wire import FrameReader, MsgType, encode_frame
@@ -153,6 +156,18 @@ def test_corrupt_inbound_frame_resets_connection(corpus):
     sock.close()
 
 
+def test_credit_grant_above_max_credits_resets_connection(corpus):
+    server, endpoint, thread = make_server(corpus)
+    sock, reader = raw_hello(endpoint, max_credits=2)
+    reader.read_frame()  # HELLO reply
+    sock.sendall(encode_frame(MsgType.CREDIT, struct.pack("<I", 2**32 - 1)))
+    sock.settimeout(5.0)
+    assert reader.read_frame() is None  # closed without sending a batch
+    sock.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 def test_version_mismatch_gets_error_frame(corpus):
     server, endpoint, thread = make_server(corpus)
     sock, reader = raw_hello(endpoint, version=99)
@@ -164,6 +179,76 @@ def test_version_mismatch_gets_error_frame(corpus):
     with connect_consumer(endpoint) as c:
         assert sum(b.size for b in c) == 10
     thread.join(timeout=10)
+
+
+def test_malformed_hello_gets_error_frame(corpus):
+    server, endpoint, thread = make_server(corpus)
+    for payload in (b"not json", b"[1,2]",
+                    json.dumps({"version": 1, "max_credits": "x"}).encode()):
+        with socket.create_connection(endpoint, timeout=10) as sock:
+            sock.sendall(encode_frame(MsgType.HELLO, payload))
+            msg_type, payload = FrameReader(sock.recv).read_frame()
+            assert msg_type == MsgType.ERROR
+            assert json.loads(payload.decode())["message"]
+    # no slot was consumed: a real consumer still completes
+    with connect_consumer(endpoint) as c:
+        assert sum(b.size for b in c) == 10
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_stats_report_skipped_records(tmp_path, corpus):
+    # a 50-sample record cannot fill one analysis window: the skip policy
+    # drops it, and STATS must say so
+    _, vocab = corpus
+    records = [UtteranceRecord("ok-1", 16000, np.zeros(8000, dtype=np.int16), "a"),
+               UtteranceRecord("tiny", 16000, np.zeros(50, dtype=np.int16), "b"),
+               UtteranceRecord("ok-2", 16000, np.zeros(8000, dtype=np.int16), "c")]
+    shard_set = write_shards(records, 1, str(tmp_path / "t-{shard}.esrd"))
+    pcfg = PipelineConfig(shard_paths=shard_set.shard_paths, vocab_path=vocab,
+                          shuffle_buffer=1, batch_size=1)
+    server = ExampleServer(ServerConfig(pipeline=pcfg))
+    endpoint = server.start()
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    sock, reader = raw_hello(endpoint, max_credits=1)
+    reader.read_frame()  # HELLO reply
+    for _ in range(2):  # ok-2 comes out only after "tiny" was dropped
+        sock.sendall(encode_frame(MsgType.CREDIT, struct.pack("<I", 1)))
+        assert reader.read_frame()[0] == MsgType.BATCH
+    sock.sendall(encode_frame(MsgType.STATS, b""))
+    msg_type, payload = reader.read_frame()
+    assert msg_type == MsgType.STATS
+    stats = json.loads(payload.decode())
+    assert stats["skipped"] == 1
+    assert stats["batches_sent"] == 2
+    sock.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_run_returns_with_connection_threads_joined(corpus, monkeypatch):
+    # the producer is mid-pipeline when the consumer leaves; run() must not
+    # return before it has been joined
+    real = server_mod.build_pipeline
+
+    def slow_pipeline(*args, **kwargs):
+        batches = real(*args, **kwargs)
+        yield next(batches)
+        time.sleep(1.0)
+        yield from batches
+
+    monkeypatch.setattr(server_mod, "build_pipeline", slow_pipeline)
+    before = set(threading.enumerate())
+    server, endpoint, thread = make_server(corpus)
+    consumer = connect_consumer(endpoint)
+    next(iter(consumer))
+    consumer.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    left = [t.name for t in threading.enumerate() if t not in before
+            and t.name.startswith(("esf-producer-", "esf-reader-"))]
+    assert left == []
 
 
 def test_multi_epoch_stream(corpus):
