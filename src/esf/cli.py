@@ -286,7 +286,7 @@ def cmd_launch(args) -> int:
     sys.stdout.flush()
     code = EXIT_OK
     for p in procs:
-        rc = p.process.wait()
+        rc = p.wait()
         if rc != 0:
             print(f"server {p.index} exited with {rc}", file=sys.stderr)
             code = EXIT_NETWORK

@@ -143,7 +143,7 @@ class Consumer:
         return item
 
     def stats(self, timeout: float = 10.0) -> dict:
-        """Round-trip a STATS request: {batches_sent, buffered, epoch}."""
+        """Round-trip a STATS request: {batches_sent, buffered, epoch, skipped}."""
         self._send(encode_frame(MsgType.STATS, b""))
         return self._stats.get(timeout=timeout)
 

@@ -1,10 +1,12 @@
 """Deterministic streaming dataset combinators.
 
 Stages compose as generators: interleaved shard reading, buffered shuffle,
-order-preserving (optionally parallel) map stages, and padded batching.
-The whole stream is a pure function of (corpus bytes, config, seed): per-record
-augmentation seeds derive from the pipeline seed, epoch, and record ordinal,
-so output is identical for any parallel_map_width.
+one order-preserving (optionally parallel) map of a fused per-record
+transform (VTLP, acoustic simulation, power-mel features, tokenize), and
+padded batching. The whole stream is a pure function of (corpus bytes, config,
+seed, epoch): each record's augmentation seeds derive from the pipeline seed,
+the epoch and the record's position in the shuffled stream, so output is
+identical for any parallel_map_width.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ PAD_ID = 0
 _STAGE_SHUFFLE = 1
 _STAGE_VTLP = 2
 _STAGE_SIM = 3
-_STAGE_FEATURES = 4
-_STAGE_TOKENIZE = 5
 
 
 @dataclass
@@ -53,6 +53,8 @@ class PipelineConfig:
             raise ConfigurationError("shuffle_buffer must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if self.parallel_map_width < 1:
+            raise ConfigurationError("parallel_map_width must be >= 1")
         if self.map_error_policy not in ("skip", "raise"):
             raise ConfigurationError("map_error_policy must be 'skip' or 'raise'")
 
@@ -187,26 +189,22 @@ class MapStats:
 
 
 def map_stage(stream: Iterable, fn: Callable, width: int = 1, *,
-              stage_seed: int = 0, epoch: int = 0, on_error: str = "skip",
-              stats: MapStats | None = None) -> Iterator:
-    """Order-preserving map with per-record seeds.
+              on_error: str = "skip", stats: MapStats | None = None) -> Iterator:
+    """Order-preserving map over up to width threads.
 
-    fn(item, seed) must be deterministic given its arguments; seed is
-    hash64(stage_seed, epoch, ordinal). Output order equals input order for
-    any width. Failing records are skipped and counted unless
+    fn(item, ordinal) must be deterministic given its arguments; ordinal is
+    the item's position in the input stream. Output order equals input order
+    for any width. Failing records are skipped and counted unless
     on_error="raise".
     """
     if on_error not in ("skip", "raise"):
         raise ValueError(f"on_error must be 'skip' or 'raise', got {on_error!r}")
     stats = stats if stats is not None else MapStats()
 
-    def run(item, ordinal):
-        return fn(item, hash64(stage_seed, epoch, ordinal))
-
     if width <= 1:
         for ordinal, item in enumerate(stream):
             try:
-                yield run(item, ordinal)
+                yield fn(item, ordinal)
             except Exception:
                 if on_error == "raise":
                     raise
@@ -225,7 +223,7 @@ def map_stage(stream: Iterable, fn: Callable, width: int = 1, *,
                 except StopIteration:
                     exhausted = True
                     break
-                pending.append(executor.submit(run, item, ordinal))
+                pending.append(executor.submit(fn, item, ordinal))
             if not pending:
                 break
             fut = pending.popleft()
@@ -246,7 +244,6 @@ class Example:
     utt_id: str
     features: np.ndarray  # (T, F) float32
     labels: np.ndarray  # (L,) int32
-    transcript: str = ""
 
 
 def padded_batch(stream: Iterable[Example], batch_size: int,
@@ -287,62 +284,43 @@ def _make_batch(group: list[Example], pad_value: float) -> Batch:
                  [ex.utt_id for ex in group])
 
 
-def _vtlp_fn(warp_spec: WarpSpec):
-    def fn(rec: UtteranceRecord, seed: int) -> UtteranceRecord:
-        rng = np.random.default_rng(seed)
-        w = dsp.Waveform(rec.float_samples(), rec.sample_rate)
-        res = vtlp_resynthesize(w, warp_spec, rng=rng)
-        meta = list(rec.metadata) + [("vtlp.alpha", f"{res.alpha:.6f}")]
-        return UtteranceRecord.from_float(rec.utt_id, rec.sample_rate,
-                                          res.waveform.samples, rec.transcript, meta)
-    return fn
-
-
-def _sim_fn(sim_config: SimulatorConfig):
-    def fn(rec: UtteranceRecord, seed: int) -> UtteranceRecord:
-        return simulate(rec, np.random.default_rng(seed), sim_config)
-    return fn
-
-
-def _feature_fn(rec: UtteranceRecord, seed: int) -> Example:
-    w = dsp.Waveform(rec.float_samples(), rec.sample_rate)
-    feats = dsp.extract_power_mel(w)
-    return Example(rec.utt_id, feats.values.astype(np.float32),
-                   np.zeros(0, dtype=np.int32), rec.transcript)
-
-
-def _tokenize_fn(tokenizer: Tokenizer):
-    def fn(ex: Example, seed: int) -> Example:
-        ex.labels = np.asarray(tokenizer.encode(ex.transcript), dtype=np.int32)
-        return ex
-    return fn
-
-
 def build_pipeline(cfg: PipelineConfig, warp_spec: WarpSpec | None = None,
                    sim_config: SimulatorConfig | None = None, *,
                    epoch: int = 0, stats: MapStats | None = None) -> Iterator[Batch]:
-    """Full example-server stream: interleave, shuffle, augment (VTLP strictly
-    before acoustic simulation), featurize, tokenize, and batch."""
+    """Full example-server stream: interleave, shuffle, one per-record
+    transform (VTLP strictly before acoustic simulation, then features and
+    labels), and batch.
+
+    A record's VTLP and simulation seeds are keyed on its position in the
+    shuffled stream, so a record skipped by one step shifts no other
+    record's seeds.
+    """
     if cfg.vocab_path is None:
         raise ConfigurationError("pipeline requires a vocab_path for the tokenizer")
     tokenizer = Tokenizer.from_file(cfg.vocab_path)
-    width = cfg.parallel_map_width
-    policy = cfg.map_error_policy
+    vtlp_seed = hash64(cfg.seed, _STAGE_VTLP)
+    sim_seed = hash64(cfg.seed, _STAGE_SIM)
+
+    def transform(rec: UtteranceRecord, ordinal: int) -> Example:
+        # the stage functions resolve through module globals on every call, so
+        # a wrapper installed on esf.pipeline or esf.dsp sees each record
+        if warp_spec is not None:
+            rng = np.random.default_rng(hash64(vtlp_seed, epoch, ordinal))
+            w = dsp.Waveform(rec.float_samples(), rec.sample_rate)
+            res = vtlp_resynthesize(w, warp_spec, rng=rng)
+            meta = list(rec.metadata) + [("vtlp.alpha", f"{res.alpha:.6f}")]
+            rec = UtteranceRecord.from_float(rec.utt_id, rec.sample_rate,
+                                             res.waveform.samples, rec.transcript, meta)
+        if sim_config is not None:
+            rng = np.random.default_rng(hash64(sim_seed, epoch, ordinal))
+            rec = simulate(rec, rng, sim_config)
+        feats = dsp.extract_power_mel(dsp.Waveform(rec.float_samples(), rec.sample_rate))
+        return Example(rec.utt_id, feats.values.astype(np.float32),
+                       np.asarray(tokenizer.encode(rec.transcript), dtype=np.int32))
+
     stream: Iterable = interleave(cfg.shard_paths, cfg.interleave_cycle_length)
     stream = shuffle(stream, cfg.shuffle_buffer,
                      hash64(cfg.seed, epoch, _STAGE_SHUFFLE))
-    if warp_spec is not None:
-        stream = map_stage(stream, _vtlp_fn(warp_spec), width,
-                           stage_seed=hash64(cfg.seed, _STAGE_VTLP), epoch=epoch,
-                           on_error=policy, stats=stats)
-    if sim_config is not None:
-        stream = map_stage(stream, _sim_fn(sim_config), width,
-                           stage_seed=hash64(cfg.seed, _STAGE_SIM), epoch=epoch,
-                           on_error=policy, stats=stats)
-    stream = map_stage(stream, _feature_fn, width,
-                       stage_seed=hash64(cfg.seed, _STAGE_FEATURES), epoch=epoch,
-                       on_error=policy, stats=stats)
-    stream = map_stage(stream, _tokenize_fn(tokenizer), width,
-                       stage_seed=hash64(cfg.seed, _STAGE_TOKENIZE), epoch=epoch,
-                       on_error=policy, stats=stats)
+    stream = map_stage(stream, transform, cfg.parallel_map_width,
+                       on_error=cfg.map_error_policy, stats=stats)
     yield from padded_batch(stream, cfg.batch_size, cfg.pad_value)

@@ -315,10 +315,14 @@ class ServerProcess:
             self.process.kill()
 
     def wait(self, timeout: float | None = None) -> int | None:
+        """Exit code once the server has exited (its stdout pipe is then
+        closed), or None if it is still running after timeout seconds."""
         try:
-            return self.process.wait(timeout=timeout)
+            code = self.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             return None
+        self.process.stdout.close()
+        return code
 
 
 def launch_servers(n: int, config: dict, *, pipelines_per_server=1,
@@ -359,6 +363,8 @@ def launch_servers(n: int, config: dict, *, pipelines_per_server=1,
                 os.unlink(fh.name)  # read by the time the server is listening
             if not line.startswith("LISTENING "):
                 proc.kill()
+                proc.wait()
+                proc.stdout.close()
                 raise LaunchError(f"server {j} failed to announce its endpoint "
                                   f"(got {line!r})", index=j)
             host, port = line.split()[1].rsplit(":", 1)
@@ -366,5 +372,6 @@ def launch_servers(n: int, config: dict, *, pipelines_per_server=1,
     except Exception:
         for p in procs:
             p.kill()
+            p.wait()
         raise
     return procs

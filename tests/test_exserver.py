@@ -335,6 +335,7 @@ def test_launch_single_server_equivalent_to_serve(launch_config):
     finally:
         for p in procs:
             p.kill()
+            p.wait(timeout=10)
 
 
 def test_launch_partitions_shards_disjointly(launch_config):
@@ -350,6 +351,14 @@ def test_launch_partitions_shards_disjointly(launch_config):
     finally:
         for p in procs:
             p.kill()
+            p.wait(timeout=10)
+
+
+def test_wait_closes_a_killed_server_stdout_pipe(launch_config):
+    (proc,) = launch_servers(1, launch_config)
+    proc.kill()
+    assert proc.wait(timeout=10) is not None
+    assert proc.process.stdout.closed
 
 
 def test_killing_one_server_isolates_the_failure(launch_config):
@@ -374,3 +383,4 @@ def test_killing_one_server_isolates_the_failure(launch_config):
     finally:
         for p in procs:
             p.kill()
+            p.wait(timeout=10)

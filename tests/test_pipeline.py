@@ -13,7 +13,7 @@ from esf.pipeline import (Example, MapStats, PipelineConfig, Tokenizer,
                           map_stage, padded_batch, shuffle, write_vocab)
 from esf.recordio import UtteranceRecord, write_shards
 from esf.synth import write_synth_corpus
-from esf.util import crc32c
+from esf.util import crc32c, hash64
 from esf.vtlp import WarpSpec
 from esf.wire import encode_batch
 
@@ -102,18 +102,18 @@ def test_map_stage_order_independent_of_width():
 def test_map_stage_per_record_seeds_are_stable():
     seen = {}
 
-    def record_seed(x, seed):
-        seen[x] = seed
+    def record_seed(x, ordinal):
+        seen[x] = hash64(77, 2, ordinal)
         return x
 
-    list(map_stage(range(5), record_seed, 1, stage_seed=77, epoch=2))
+    list(map_stage(range(5), record_seed, 1))
     again = {}
 
-    def record_seed2(x, seed):
-        again[x] = seed
+    def record_seed2(x, ordinal):
+        again[x] = hash64(77, 2, ordinal)
         return x
 
-    list(map_stage(range(5), record_seed2, 4, stage_seed=77, epoch=2))
+    list(map_stage(range(5), record_seed2, 4))
     assert seen == again
     assert len(set(seen.values())) == 5
 
@@ -225,6 +225,86 @@ def test_build_pipeline_width_independent(small_corpus):
     assert len(checksums) == 1
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_build_pipeline_stream_bytes_are_pinned(small_corpus, width):
+    # CRC32C chain of the encoded batches; any change to a stage's
+    # arithmetic, its seeds or the record order moves it
+    shards, vocab = small_corpus
+    cfg = PipelineConfig(shard_paths=shards.shard_paths, vocab_path=vocab,
+                         batch_size=4, shuffle_buffer=8, seed=5,
+                         parallel_map_width=width)
+    sim = SimulatorConfig(max_image_order=3)
+    assert stream_checksum(cfg, WarpSpec(), sim, epoch=0)[0] == 0x6228af86
+    assert stream_checksum(cfg, WarpSpec(), sim, epoch=1)[0] == 0x7ee79532
+
+
+def test_skipped_record_shifts_no_later_seed(small_corpus, monkeypatch):
+    # a record that fails VTLP leaves every other record's simulation seed
+    # as it is: seeds are keyed on the position in the shuffled stream
+    from esf.recordio import read_all
+
+    shards, vocab = small_corpus
+    cfg = PipelineConfig(shard_paths=shards.shard_paths, vocab_path=vocab,
+                         batch_size=4, shuffle_buffer=8, seed=5)
+    audio = {r.utt_id: r.float_samples() for r in read_all(shards)}
+    real_vtlp, real_simulate = pipeline.vtlp_resynthesize, pipeline.simulate
+
+    def run(victim):
+        sim_states = {}
+
+        def failing_vtlp(w, spec, rng):
+            if victim is not None and np.array_equal(w.samples, audio[victim]):
+                raise RuntimeError("corrupt")
+            return real_vtlp(w, spec, rng=rng)
+
+        def recording_simulate(rec, rng, config):
+            sim_states[rec.utt_id] = rng.bit_generator.state["state"]["state"]
+            return real_simulate(rec, rng, config)
+
+        monkeypatch.setattr(pipeline, "vtlp_resynthesize", failing_vtlp)
+        monkeypatch.setattr(pipeline, "simulate", recording_simulate)
+        stats = MapStats()
+        batches = build_pipeline(cfg, WarpSpec(), SimulatorConfig(max_image_order=1),
+                                 stats=stats)
+        ids = [u for b in batches for u in b.utt_ids]
+        return ids, sim_states, stats.skipped
+
+    ids, clean, skipped = run(None)
+    assert skipped == 0
+    victim = ids[2]
+    faulty_ids, faulty, skipped = run(victim)
+    assert skipped == 1
+    assert faulty_ids == [u for u in ids if u != victim]
+    assert faulty == {u: s for u, s in clean.items() if u != victim}
+
+
+def test_build_pipeline_runs_one_pool_of_width_threads(small_corpus, monkeypatch):
+    import threading
+
+    shards, vocab = small_corpus
+    cfg = PipelineConfig(shard_paths=shards.shard_paths, vocab_path=vocab,
+                         batch_size=4, shuffle_buffer=8, seed=5,
+                         parallel_map_width=2)
+    before = set(threading.enumerate())
+    peak = [0]
+
+    def count_workers():
+        workers = [t for t in threading.enumerate() if t not in before
+                   and t.name.startswith("ThreadPoolExecutor")]
+        peak[0] = max(peak[0], len(workers))
+
+    real_simulate = pipeline.simulate
+
+    def counting_simulate(rec, rng, config):
+        count_workers()
+        return real_simulate(rec, rng, config)
+
+    monkeypatch.setattr(pipeline, "simulate", counting_simulate)
+    for _ in build_pipeline(cfg, WarpSpec(), SimulatorConfig(max_image_order=1)):
+        count_workers()
+    assert 1 <= peak[0] <= 2
+
+
 def test_build_pipeline_epochs_differ_but_conserve(small_corpus):
     shards, vocab = small_corpus
     cfg = PipelineConfig(shard_paths=shards.shard_paths, vocab_path=vocab,
@@ -261,18 +341,25 @@ def test_batch_record_count_conservation(small_corpus):
     assert sizes == [7, 7, 7, 7, 2]
 
 
-def test_vtlp_runs_strictly_before_simulation(small_corpus):
-    # the stages append their metadata in execution order
-    from esf.pipeline import _sim_fn, _vtlp_fn
-
+def test_vtlp_runs_strictly_before_simulation(small_corpus, monkeypatch):
+    # each step appends its metadata, so the order of keys is execution order
     shards, vocab = small_corpus
-    stream = interleave(shards.shard_paths, 1)
-    stream = map_stage(stream, _vtlp_fn(WarpSpec()), 1, stage_seed=1)
-    stream = map_stage(stream, _sim_fn(SimulatorConfig(max_image_order=2)), 1,
-                       stage_seed=2)
-    rec = next(iter(stream))
-    keys = [k for k, _ in rec.metadata]
-    assert keys.index("vtlp.alpha") < keys.index("room.dims")
+    real_simulate = pipeline.simulate
+    orders = []
+
+    def checked_simulate(rec, rng, config):
+        assert "vtlp.alpha" in dict(rec.metadata)
+        out = real_simulate(rec, rng, config)
+        orders.append([k for k, _ in out.metadata])
+        return out
+
+    monkeypatch.setattr(pipeline, "simulate", checked_simulate)
+    cfg = PipelineConfig(shard_paths=shards.shard_paths, vocab_path=vocab,
+                         batch_size=4, shuffle_buffer=8, seed=5)
+    list(build_pipeline(cfg, WarpSpec(), SimulatorConfig(max_image_order=2)))
+    assert len(orders) == 30
+    for keys in orders:
+        assert keys.index("vtlp.alpha") < keys.index("room.dims")
 
 
 def test_map_error_policy_skip_vs_raise(tmp_path, small_corpus):
@@ -303,3 +390,6 @@ def test_pipeline_config_validation():
         PipelineConfig(shard_paths=[], batch_size=0)
     with pytest.raises(ConfigurationError):
         PipelineConfig(shard_paths=[], shuffle_buffer=0)
+    for width in (0, -2):
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(shard_paths=[], parallel_map_width=width)
