@@ -39,7 +39,7 @@ class Consumer:
         self.assignment: dict = {}
         self._closed = False
 
-        reader = FrameReader(self.sock.recv)
+        reader = FrameReader(self.sock.recv_into)
         self._send(encode_frame(MsgType.HELLO, json.dumps(
             {"version": 1, "max_credits": max_credits}).encode("utf-8")))
         frame = reader.read_frame()
@@ -129,6 +129,12 @@ class Consumer:
                 self._batches.put(DeliveryError(
                     f"socket error after batch {self.last_ordinal}",
                     last_ordinal=self.last_ordinal))
+        except Exception as exc:  # e.g. a STATS payload that is not JSON:
+            # the stream must still end with an item, or __next__ blocks forever
+            err = DeliveryError(f"malformed frame after batch {self.last_ordinal}: "
+                                f"{exc!r}", last_ordinal=self.last_ordinal)
+            err.__cause__ = exc
+            self._batches.put(err)
 
     def __iter__(self):
         return self

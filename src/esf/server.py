@@ -210,7 +210,7 @@ class ExampleServer:
     def _handle(self, sock: socket.socket) -> None:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            reader = FrameReader(sock.recv)
+            reader = FrameReader(sock.recv_into)
             frame = reader.read_frame()
             if frame is None:
                 return

@@ -8,50 +8,82 @@ from typing import Iterator
 
 import numpy as np
 
+# CRC32C, vectorised with numpy. The CRC register is linear over GF(2), so
+# with a zero initial register the CRC of a message is the XOR of one table
+# entry per byte: the CRC of that byte followed by the zero bytes after it.
+# Messages are cut into 256-byte blocks (left-padded with zeros, which leave
+# a zero-initialised CRC unchanged); each block's CRC is one gather from the
+# position tables plus an XOR reduction, and the blocks are folded pairwise
+# with "advance by 256 * 2**k zero bytes" operators, as in zlib's
+# crc32_combine. The initial register is advanced over the whole message with
+# the same operators and XORed in.
+
 _CRC32C_POLY = 0x82F63B78  # Castagnoli polynomial, reflected form
+_U32 = np.dtype("<u4")  # registers are viewed as their 4 bytes, LSB first
+_BLOCK = 256
+_SLICE_BLOCKS = 256  # 64 KiB per gather keeps its temporaries small
+_BYTE_OFFSETS = np.arange(_BLOCK, dtype=np.uint16) * 256
 
 
-def _make_table() -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint32)
-    for i in range(256):
-        c = i
-        for _ in range(8):
-            c = (c >> 1) ^ _CRC32C_POLY if c & 1 else c >> 1
-        table[i] = c
-    return table
+def _fold_bytes(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """XOR over j of table[j, rows[:, j]], for each row of uint8 columns."""
+    index = rows + _BYTE_OFFSETS[:rows.shape[1]]
+    return np.bitwise_xor.reduce(table.reshape(-1).take(index), axis=1)
 
 
-_TABLE = _make_table()
-
-try:
-    import numba
-    from numba import types as _nbt
-
-    _sig = _nbt.uint32(_nbt.Array(_nbt.uint8, 1, "C", readonly=True), _nbt.uint32)
-
-    @numba.njit(_sig, cache=True)
-    def _crc_update(buf, crc):  # pragma: no cover - exercised through crc32c()
-        for b in buf:
-            crc = _TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
-        return crc
-
-    def _crc_bytes(data: bytes, crc: int) -> int:
-        return int(_crc_update(np.frombuffer(data, dtype=np.uint8), np.uint32(crc)))
-
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _TABLE_LIST = [int(x) for x in _TABLE]
-
-    def _crc_bytes(data: bytes, crc: int) -> int:
-        table = _TABLE_LIST
-        for b in data:
-            crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8)
-        return crc
+def _advance(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """Apply a 4 x 256 "advance by N zero bytes" operator to registers."""
+    return _fold_bytes(op, np.ascontiguousarray(regs, dtype=_U32).view(np.uint8).reshape(-1, 4))
 
 
-def crc32c(data: bytes, value: int = 0) -> int:
-    """CRC32C of data, optionally continuing from a previous value."""
-    return _crc_bytes(bytes(data) if not isinstance(data, bytes) else data,
-                      value ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+def _crc_tables() -> tuple[np.ndarray, list[np.ndarray]]:
+    table = np.arange(256, dtype=_U32)  # CRC of one byte from a zero register
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ _CRC32C_POLY, table >> 1).astype(_U32)
+
+    def one_zero_byte(regs):
+        return table[regs & 0xFF] ^ (regs >> 8)
+
+    # positions[p, v]: CRC of byte v followed by 255 - p zero bytes
+    positions = np.empty((_BLOCK, 256), dtype=_U32)
+    positions[-1] = table
+    for p in range(_BLOCK - 2, -1, -1):
+        positions[p] = one_zero_byte(positions[p + 1])
+    # advance[i]: the operator for 2**i zero bytes; row j acts on byte j
+    op = one_zero_byte(np.arange(256, dtype=_U32) << (8 * np.arange(4, dtype=_U32)[:, None]))
+    advance = [op]
+    for _ in range(63):
+        op = _advance(op, op).reshape(4, 256)
+        advance.append(op)
+    return positions, advance
+
+
+_POSITIONS, _ADVANCE = _crc_tables()
+
+
+def crc32c(data, value: int = 0) -> int:
+    """CRC32C of a contiguous buffer, optionally continuing from a previous value."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = buf.size
+    nblocks = -(-n // _BLOCK)
+    padded = np.zeros(nblocks * _BLOCK, dtype=np.uint8)
+    padded[padded.size - n:] = buf
+    rows = padded.reshape(-1, _BLOCK)
+    # leading zero blocks up to a power of two fold away, like the padding
+    crcs = np.zeros(1 << max(nblocks - 1, 0).bit_length(), dtype=_U32)
+    lead = crcs.size - nblocks
+    for i in range(0, nblocks, _SLICE_BLOCKS):
+        part = rows[i:i + _SLICE_BLOCKS]
+        crcs[lead + i:lead + i + len(part)] = _fold_bytes(_POSITIONS, part)
+    level = 8  # 2**8 = 256 bytes: one block
+    while crcs.size > 1:
+        crcs = _advance(_ADVANCE[level], crcs[0::2]) ^ crcs[1::2]
+        level += 1
+    register = np.array([value ^ 0xFFFFFFFF], dtype=_U32)
+    for i in range(n.bit_length()):
+        if n >> i & 1:
+            register = _advance(_ADVANCE[i], register)
+    return int(crcs[0] ^ register[0]) ^ 0xFFFFFFFF
 
 
 def hash64(*parts: int) -> int:

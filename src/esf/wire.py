@@ -23,6 +23,8 @@ MAGIC = b"ESRV"
 VERSION = 1
 HEADER_LEN = 10  # magic + version + msg_type + payload_length
 MAX_PAYLOAD = 64 * 1024 * 1024
+_HEADER = struct.Struct("<4sBBI")
+_RECV_BYTES = 64 * 1024  # initial receive buffer; grows to the largest frame
 
 
 class MsgType(enum.IntEnum):
@@ -33,6 +35,8 @@ class MsgType(enum.IntEnum):
     END = 5
     ERROR = 6
 
+
+_MSG_TYPES = frozenset(MsgType)
 
 TAG_ORDINAL = 1
 TAG_FEATURE_DIMS = 2
@@ -47,48 +51,66 @@ TAG_UTT_ID = 8  # repeated, one per example, in batch order
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload of {len(payload)} bytes exceeds the 64 MiB limit")
-    header = MAGIC + struct.pack("<BBI", VERSION, int(msg_type), len(payload))
-    return header + payload + struct.pack("<I", crc32c(payload))
+    header = _HEADER.pack(MAGIC, VERSION, int(msg_type), len(payload))
+    return b"".join((header, payload, struct.pack("<I", crc32c(payload))))
 
 
 class FrameReader:
-    """Incremental frame parser over a recv-like callable."""
+    """Incremental frame parser over a recv_into-like callable.
 
-    def __init__(self, recv):
-        self._recv = recv
-        self._buf = b""
+    recv_into(buffer) fills a writable buffer and returns the number of bytes
+    written, 0 at end of stream (socket.recv_into, io readinto). Received
+    bytes land in one reused bytearray; only the returned payload is copied.
+    """
 
-    def _read_exact(self, n: int) -> bytes | None:
-        """n bytes, or None on clean EOF at a frame boundary."""
-        while len(self._buf) < n:
-            chunk = self._recv(max(4096, n - len(self._buf)))
-            if not chunk:
-                if not self._buf:
-                    return None
+    def __init__(self, recv_into):
+        self._recv_into = recv_into
+        self._buf = bytearray(_RECV_BYTES)
+        self._start = 0  # first unread byte
+        self._end = 0  # end of the received bytes
+
+    def _fill(self, n: int) -> bool:
+        """Buffer n unread bytes; False on clean EOF at a frame boundary."""
+        if self._end - self._start >= n:
+            return True
+        if self._start + n > len(self._buf):
+            # move the unread bytes to the front, into a larger buffer if needed
+            buf = self._buf if n <= len(self._buf) else bytearray(max(n, 2 * len(self._buf)))
+            unread = self._end - self._start
+            buf[:unread] = self._buf[self._start:self._end]
+            self._buf, self._start, self._end = buf, 0, unread
+        view = memoryview(self._buf)
+        while self._end - self._start < n:
+            got = self._recv_into(view[self._end:])
+            if not got:
+                if self._end == self._start:
+                    return False
                 raise TruncationError("connection closed mid-frame")
-            self._buf += chunk
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+            self._end += got
+        return True
 
     def read_frame(self) -> tuple[MsgType, bytes] | None:
         """Next (msg_type, payload), or None when the peer closed cleanly."""
-        header = self._read_exact(HEADER_LEN)
-        if header is None:
+        if not self._fill(HEADER_LEN):
             return None
-        if header[:4] != MAGIC:
+        magic, version, msg_type, length = _HEADER.unpack_from(self._buf, self._start)
+        if magic != MAGIC:
             raise FormatError("bad frame magic")
-        version, msg_type, length = struct.unpack_from("<BBI", header, 4)
         if version != VERSION:
             raise FormatError(f"unsupported frame version {version}")
+        if msg_type not in _MSG_TYPES:
+            raise FormatError(f"unknown frame type {msg_type}")
         if length > MAX_PAYLOAD:
             raise FormatError(f"frame payload of {length} bytes exceeds the limit")
-        rest = self._read_exact(length + 4)
-        if rest is None:
+        self._start += HEADER_LEN
+        if not self._fill(length + 4):
             raise TruncationError("connection closed mid-frame")
-        payload, crc = rest[:length], struct.unpack("<I", rest[length:])[0]
-        if crc != crc32c(payload):
+        start, self._start = self._start, self._start + length + 4
+        payload = memoryview(self._buf)[start:start + length]
+        if struct.unpack_from("<I", self._buf, start + length)[0] != crc32c(payload):
             raise CorruptionError("frame payload CRC mismatch")
-        return MsgType(msg_type), payload
+        # a copy: a view would alias the reused receive buffer
+        return MsgType(msg_type), bytes(payload)
 
 
 def encode_batch(batch: Batch) -> bytes:

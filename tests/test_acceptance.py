@@ -243,7 +243,7 @@ def test_criterion_6_wire_protocol(tmp_path):
             payload_len = len(frame) - wire.HEADER_LEN - 4
             pos = wire.HEADER_LEN + int(rng.integers(0, payload_len))
             frame[pos] ^= 1 << int(rng.integers(0, 8))
-            reader = wire.FrameReader(io.BytesIO(bytes(frame)).read)
+            reader = wire.FrameReader(io.BytesIO(bytes(frame)).readinto)
             try:
                 reader.read_frame()
                 detected = False
@@ -266,7 +266,7 @@ def test_criterion_6_wire_protocol(tmp_path):
         sock = socket.create_connection(endpoint, timeout=10)
         sock.sendall(encode_frame(MsgType.HELLO, json.dumps(
             {"version": 1, "max_credits": k}).encode()))
-        reader = FrameReader(sock.recv)
+        reader = FrameReader(sock.recv_into)
         assert reader.read_frame()[0] == MsgType.HELLO
         deadline = time.time() + 5.0
         peak_buffered = 0

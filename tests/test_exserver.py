@@ -1,6 +1,8 @@
 """Example-server transport: flow control, partitioning, failure handling."""
 
+import contextlib
 import json
+import queue
 import socket
 import struct
 import threading
@@ -11,7 +13,7 @@ import pytest
 
 from esf import server as server_mod
 from esf.client import connect_consumer
-from esf.errors import DeliveryError
+from esf.errors import DeliveryError, EsfError
 from esf.pipeline import PipelineConfig
 from esf.recordio import UtteranceRecord, write_shards
 from esf.server import ExampleServer, ServerConfig, launch_servers
@@ -65,7 +67,7 @@ def raw_hello(endpoint, max_credits=0, version=1):
     if max_credits:
         hello["max_credits"] = max_credits
     sock.sendall(encode_frame(MsgType.HELLO, json.dumps(hello).encode()))
-    return sock, FrameReader(sock.recv)
+    return sock, FrameReader(sock.recv_into)
 
 
 def test_zero_credits_buffers_at_most_max(corpus):
@@ -168,6 +170,79 @@ def test_credit_grant_above_max_credits_resets_connection(corpus):
     assert not thread.is_alive()
 
 
+@pytest.mark.parametrize("after_hello", [False, True])
+def test_unknown_frame_type_resets_connection(corpus, monkeypatch, after_hello):
+    # a type-9 frame, in the handshake or after it, must reset the connection
+    # without killing a server thread
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    server, endpoint, thread = make_server(corpus)
+    if after_hello:
+        sock, reader = raw_hello(endpoint, max_credits=2)
+        assert reader.read_frame()[0] == MsgType.HELLO
+    else:
+        sock = socket.create_connection(endpoint, timeout=10)
+        reader = FrameReader(sock.recv_into)
+    sock.sendall(encode_frame(9, b""))
+    with contextlib.suppress(ConnectionError):
+        assert reader.read_frame() is None  # closed without another frame
+    sock.close()
+    if not after_hello:  # no slot was taken: a real consumer still completes
+        with connect_consumer(endpoint) as c:
+            assert sum(b.size for b in c) == 10
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert hooked == []
+
+
+def fake_server(frames):
+    """A listener that answers one HELLO, sends frames, then waits for EOF."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, contextlib.suppress(OSError, EsfError):
+            reader = FrameReader(conn.recv_into)
+            reader.read_frame()  # HELLO
+            conn.sendall(encode_frame(MsgType.HELLO, json.dumps(
+                {"version": 1, "slot": 0, "num_slots": 1, "epochs": 1}).encode()))
+            for frame in frames:
+                conn.sendall(frame)
+            while reader.read_frame() is not None:  # credits, until EOF
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+@pytest.mark.parametrize("frame", [
+    encode_frame(9, b""),
+    encode_frame(MsgType.STATS, b"not json"),
+    encode_frame(MsgType.ERROR, b"\xff\xfe"),
+    encode_frame(MsgType.ERROR, b"[1]"),
+], ids=["unknown-type", "stats-not-json", "error-not-utf8", "error-not-object"])
+def test_malformed_server_frame_raises_delivery_error(frame):
+    listener, thread = fake_server([frame])
+    consumer = connect_consumer(listener.getsockname(), timeout=10)
+    outcome: queue.Queue = queue.Queue()
+
+    def take():
+        try:
+            outcome.put(next(consumer))
+        except Exception as exc:
+            outcome.put(exc)
+
+    threading.Thread(target=take, daemon=True).start()
+    try:
+        assert isinstance(outcome.get(timeout=5.0), DeliveryError)
+    finally:
+        consumer.close()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
 def test_version_mismatch_gets_error_frame(corpus):
     server, endpoint, thread = make_server(corpus)
     sock, reader = raw_hello(endpoint, version=99)
@@ -187,7 +262,7 @@ def test_malformed_hello_gets_error_frame(corpus):
                     json.dumps({"version": 1, "max_credits": "x"}).encode()):
         with socket.create_connection(endpoint, timeout=10) as sock:
             sock.sendall(encode_frame(MsgType.HELLO, payload))
-            msg_type, payload = FrameReader(sock.recv).read_frame()
+            msg_type, payload = FrameReader(sock.recv_into).read_frame()
             assert msg_type == MsgType.ERROR
             assert json.loads(payload.decode())["message"]
     # no slot was consumed: a real consumer still completes

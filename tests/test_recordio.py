@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esf import recordio
 from esf.errors import CorruptionError, FormatError, TruncationError
@@ -33,6 +35,54 @@ def test_crc32c_matches_bitwise_reference():
     for n in (0, 1, 7, 64, 1000):
         data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
         assert crc32c(data) == crc32c_bitwise(data)
+
+
+# lengths on both sides of the 256-byte block edges, and a few blocks long
+_crc_lengths = st.one_of(st.sampled_from([0, 1, 2, 255, 256, 257, 511, 512, 513]),
+                         st.integers(0, 2100))
+_crc_data = _crc_lengths.flatmap(lambda n: st.binary(min_size=n, max_size=n))
+
+
+@settings(deadline=None)
+@given(_crc_data)
+def test_crc32c_property_matches_bitwise_reference(data):
+    assert crc32c(data) == crc32c_bitwise(data)
+
+
+@settings(deadline=None)
+@given(_crc_data, _crc_data)
+def test_crc32c_property_continues_from_a_previous_value(a, b):
+    assert crc32c(a + b) == crc32c(b, crc32c(a))
+
+
+@settings(deadline=None)
+@given(_crc_data, st.integers(0, 2**32 - 1))
+def test_crc32c_property_same_for_bytes_bytearray_memoryview(data, value):
+    expected = crc32c(data, value)
+    assert crc32c(bytearray(data), value) == expected
+    assert crc32c(memoryview(data), value) == expected
+    padded = bytearray(b"x" + data + b"y")
+    assert crc32c(memoryview(padded)[1:-1], value) == expected
+
+
+def test_crc32c_spanning_several_gather_slices_matches_bitwise_reference():
+    data = np.random.default_rng(5).integers(0, 256, 3 * 65536 + 7,
+                                             dtype=np.uint8).tobytes()
+    assert crc32c(data) == crc32c_bitwise(data)
+
+
+_MEGABYTE = np.random.default_rng(11).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+_MEGABYTE_CRC = crc32c(_MEGABYTE)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 8 * len(_MEGABYTE) - 1))
+@example(0)
+@example(8 * len(_MEGABYTE) - 1)
+def test_crc32c_property_single_bit_flip_in_a_megabyte_detected(bit):
+    flipped = bytearray(_MEGABYTE)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    assert crc32c(flipped) != _MEGABYTE_CRC
 
 
 def make_records(n, samples_per=50):

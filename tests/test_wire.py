@@ -13,7 +13,7 @@ from esf.pipeline import Batch
 
 def reader_over(data: bytes) -> wire.FrameReader:
     stream = io.BytesIO(data)
-    return wire.FrameReader(stream.read)
+    return wire.FrameReader(stream.readinto)
 
 
 def random_batch(rng, b=None, t=None, f=None):
@@ -81,6 +81,30 @@ def test_frame_rejects_oversized_claim():
                                       wire.MAX_PAYLOAD + 1)
     with pytest.raises(FormatError):
         reader_over(header).read_frame()
+
+
+def test_frame_unknown_type_is_format_error():
+    frame = wire.encode_frame(9, b"payload")
+    with pytest.raises(FormatError):
+        reader_over(frame).read_frame()
+
+
+def test_frames_split_across_short_reads():
+    # a socket hands over frames in pieces; frames larger than the initial
+    # receive buffer make it grow, and a frame may start mid-read
+    rng = np.random.default_rng(3)
+    payloads = [rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+                for n in (0, 5, 70_000, 3, 200_000, 64 * 1024 - 14, 11)]
+    source = io.BytesIO(b"".join(wire.encode_frame(wire.MsgType.BATCH, p)
+                                 for p in payloads))
+
+    def recv_into(buf):
+        return source.readinto(memoryview(buf)[:int(rng.integers(1, 50_000))])
+
+    reader = wire.FrameReader(recv_into)
+    assert [reader.read_frame() for _ in payloads] == [
+        (wire.MsgType.BATCH, p) for p in payloads]
+    assert reader.read_frame() is None
 
 
 def test_batch_codec_round_trip_is_canonical():
