@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import esf.__main__ as entry
+import esf.cli
 from esf import dsp
 from esf.cli import main
 from esf.config import merge_config
@@ -228,3 +231,32 @@ def test_serve_and_consume_subprocess(dryrun_config):
         assert server.wait(timeout=60) == 0
     finally:
         server.kill()
+
+
+@pytest.mark.parametrize("before, after", [
+    ({"HOME": "/nowhere"}, {"HOME": "/nowhere", "OMP_NUM_THREADS": "1",
+                            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}),
+    ({"OMP_NUM_THREADS": "4"}, {"OMP_NUM_THREADS": "4"}),  # the caller's choice stands
+])
+def test_entry_point_defaults_blas_to_one_thread(before, after, monkeypatch):
+    env = dict(before)
+    monkeypatch.setattr(os, "environ", env)
+    monkeypatch.setattr(esf.cli, "main", lambda: 7)
+    assert entry.main() == 7
+    assert env == after
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_serve_runs_one_thread_until_a_consumer_connects(dryrun_config):
+    # no BLAS worker threads: they would busy-wait beside the producer
+    env = {k: v for k, v in os.environ.items() if k not in entry._BLAS_THREAD_VARS}
+    server = subprocess.Popen(
+        [sys.executable, "-m", "esf", "serve", "--config", dryrun_config],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env)
+    try:
+        assert server.stdout.readline().startswith("LISTENING ")
+        assert len(os.listdir(f"/proc/{server.pid}/task")) == 1
+    finally:
+        server.kill()
+        server.wait()
+        server.stdout.close()
