@@ -188,15 +188,15 @@ def compute_rir(room: RoomSpec, sample_rate: int, *,
         length = int(np.ceil(delays.max())) + 2 if delays.size else 1
     else:
         length = int(np.ceil(duration * sample_rate)) + 2
-    taps = np.zeros(length)
     amps = np.power(reflect, refl_count) / (4.0 * np.pi * dist)
     base = np.floor(delays).astype(np.int64)
     frac = delays - base
-    # fixed deposit order (flattened lattice order) keeps taps bit-identical
-    lo_ok = base < length
-    hi_ok = base + 1 < length
-    np.add.at(taps, base[lo_ok], amps[lo_ok] * (1.0 - frac[lo_ok]))
-    np.add.at(taps, base[hi_ok] + 1, amps[hi_ok] * frac[hi_ok])
+    # fixed deposit order keeps taps bit-identical: bincount adds from 0.0 in
+    # input order, flattened lattice order with every lower tap before every
+    # upper one; a deposit past the stored span lands in a bin cut off below
+    taps = np.bincount(np.concatenate([base, base + 1]),
+                       weights=np.concatenate([amps * (1.0 - frac), amps * frac]),
+                       minlength=length)[:length]
     return ImpulseResponse(taps, sample_rate)
 
 

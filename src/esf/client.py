@@ -30,29 +30,23 @@ class Consumer:
             raise ValueError("max_credits must be >= 1")
         self.max_credits = max_credits
         self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._write_lock = threading.Lock()
         self._batches: queue.Queue = queue.Queue()
         self._stats: queue.Queue = queue.Queue()
         self._first_item = threading.Event()
         self.last_ordinal: int | None = None
-        self.assignment: dict = {}
         self._closed = False
 
         reader = FrameReader(self.sock.recv_into)
-        self._send(encode_frame(MsgType.HELLO, json.dumps(
-            {"version": 1, "max_credits": max_credits}).encode("utf-8")))
-        frame = reader.read_frame()
-        if frame is None:
-            raise DeliveryError("server closed during handshake")
-        msg_type, payload = frame
-        if msg_type == MsgType.ERROR:
-            raise DeliveryError(f"server rejected handshake: "
-                                f"{json.loads(payload.decode('utf-8'))['message']}")
-        if msg_type != MsgType.HELLO:
-            raise DeliveryError(f"expected HELLO reply, got {msg_type.name}")
-        self.assignment = json.loads(payload.decode("utf-8"))
-        self._send(encode_frame(MsgType.CREDIT, struct.pack("<I", max_credits)))
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.assignment: dict = self._handshake(reader)
+        except DeliveryError:
+            self.sock.close()
+            raise
+        except (EsfError, OSError) as exc:  # a bad frame or a socket failure
+            self.sock.close()
+            raise DeliveryError(f"handshake failed: {exc!r}") from exc
         self._reader_thread = threading.Thread(
             target=self._reader_loop, args=(reader,), daemon=True,
             name="esf-consumer-reader")
@@ -64,6 +58,32 @@ class Consumer:
         self._credit_thread = threading.Thread(
             target=self._credit_loop, daemon=True, name="esf-consumer-credit")
         self._credit_thread.start()
+
+    def _handshake(self, reader: FrameReader) -> dict:
+        """HELLO, the server's reply, then the initial credit grant.
+
+        Returns the server's assignment object. A refusal and a reply that
+        is malformed or unexpected raise DeliveryError.
+        """
+        self._send(encode_frame(MsgType.HELLO, json.dumps(
+            {"version": 1, "max_credits": self.max_credits}).encode("utf-8")))
+        frame = reader.read_frame()
+        if frame is None:
+            raise DeliveryError("server closed during handshake")
+        msg_type, payload = frame
+        if msg_type not in (MsgType.HELLO, MsgType.ERROR):
+            raise DeliveryError(f"expected HELLO reply, got {msg_type.name}")
+        try:
+            reply = json.loads(payload.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise DeliveryError(f"malformed {msg_type.name} reply: {exc}") from exc
+        if not isinstance(reply, dict):
+            raise DeliveryError(f"malformed {msg_type.name} reply: not a JSON object")
+        if msg_type == MsgType.ERROR:
+            raise DeliveryError(f"server rejected handshake: "
+                                f"{reply.get('message', '(no message)')}")
+        self._send(encode_frame(MsgType.CREDIT, struct.pack("<I", self.max_credits)))
+        return reply
 
     def _send(self, data: bytes) -> None:
         with self._write_lock:

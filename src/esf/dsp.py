@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 
@@ -124,10 +125,7 @@ def stft(w: Waveform, cfg: StftConfig) -> Spectrogram:
     n = len(w.samples)
     if n < win:
         raise ValueError(f"waveform ({n} samples) shorter than one window ({win})")
-    num_frames = 1 + (n - win) // hop
-    window = hann_periodic(win)
-    idx = np.arange(win)[None, :] + hop * np.arange(num_frames)[:, None]
-    frames = w.samples[idx] * window[None, :]
+    frames = sliding_window_view(w.samples, win)[::hop] * hann_periodic(win)
     spectra = np.fft.rfft(frames, n=cfg.dft_size, axis=1)
     return Spectrogram(spectra, cfg, w.sample_rate)
 
@@ -138,6 +136,15 @@ def istft(s: Spectrogram) -> Waveform:
     Output length is the analysis span (num_frames-1)*hop + window. Samples
     where the synthesis weight underflows (window endpoints with no overlap)
     come out as zero.
+
+    Summation order: every output sample starts from 0.0 and adds the
+    windowed frames that cover it in ascending frame order, and its weight
+    adds window^2 terms the same way, as a frame-by-frame loop would. The
+    frames are cut into r = ceil(window/hop) hop-wide chunks; chunk j of
+    frame m lands on output chunk m + j, so adding chunk j for j = r-1 down
+    to 0 visits each sample's frames in ascending m. A last partial chunk (hop not dividing
+    the window) is added by slicing, never as zero padding, so no sample
+    gains an extra +0.0 term. The result is bit-identical to that loop.
     """
     cfg = s.config
     cfg.validate(s.sample_rate)
@@ -146,13 +153,18 @@ def istft(s: Spectrogram) -> Waveform:
     num_frames = s.num_frames
     span = (num_frames - 1) * hop + win
     window = hann_periodic(win)
-    frames = np.fft.irfft(s.frames, n=cfg.dft_size, axis=1)[:, :win]
-    out = np.zeros(span)
-    norm = np.zeros(span)
-    for m in range(num_frames):
-        sl = slice(m * hop, m * hop + win)
-        out[sl] += frames[m] * window
-        norm[sl] += window * window
+    frames = np.fft.irfft(s.frames, n=cfg.dft_size, axis=1)[:, :win] * window
+    weight = window * window
+    chunks = -(-win // hop)
+    out = np.zeros((num_frames + chunks - 1, hop))
+    norm = np.zeros((num_frames + chunks - 1, hop))
+    for j in range(chunks - 1, -1, -1):
+        lo = j * hop
+        width = min(hop, win - lo)
+        out[j:j + num_frames, :width] += frames[:, lo:lo + width]
+        norm[j:j + num_frames, :width] += weight[lo:lo + width]
+    out = out.reshape(-1)[:span]
+    norm = norm.reshape(-1)[:span]
     # interior coverage check: every sample past the first/last window edge
     # must carry real synthesis weight, otherwise the pair cannot reconstruct
     if num_frames > 1:

@@ -153,7 +153,13 @@ def _interp_frames(frames: np.ndarray, pos: np.ndarray) -> np.ndarray:
     n = frames.shape[1]
     idx = np.minimum(np.floor(pos).astype(np.int64), n - 2)
     frac = pos - idx
-    out = frames[:, idx] * (1.0 - frac) + frames[:, idx + 1] * frac
+    # numpy multiplies complex by real through the complex loop anyway, so
+    # weights cast up front keep every bit while the products run in place
+    out = np.take(frames, idx, axis=1)
+    out *= (1.0 - frac).astype(np.complex128)
+    upper = np.take(frames, idx + 1, axis=1)
+    upper *= frac.astype(np.complex128)
+    out += upper
     out[:, 0] = out[:, 0].real
     out[:, -1] = out[:, -1].real
     return out

@@ -132,6 +132,56 @@ def test_rir_duration_truncation_matches_full_prefix():
     np.testing.assert_allclose(short.taps[:n], full.taps[:n], rtol=1e-12)
 
 
+def rir_add_at_oracle(room, sample_rate, duration=None):
+    """compute_rir with the two-np.add.at deposit that bincount replaced."""
+    order = room.max_image_order
+    c = room.speed_of_sound
+    reach = None if duration is None else duration * c
+    reflect = math.sqrt(max(0.0, 1.0 - acoustic.t60_to_absorption(room)))
+    (cx, nx), (cy, ny), (cz, nz) = (
+        acoustic._axis_images(room.source_position[i], room.dimensions[i], order, reach)
+        for i in range(3))
+    total = nx[:, None, None] + ny[None, :, None] + nz[None, None, :]
+    keep = total <= order
+    dx = cx[:, None, None] - room.mic_position[0]
+    dy = cy[None, :, None] - room.mic_position[1]
+    dz = cz[None, None, :] - room.mic_position[2]
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    if reach is not None:
+        keep &= dist <= reach
+    dist = dist[keep]
+    refl_count = total[keep]
+    delays = dist * (sample_rate / c)
+    if duration is None:
+        length = int(np.ceil(delays.max())) + 2 if delays.size else 1
+    else:
+        length = int(np.ceil(duration * sample_rate)) + 2
+    taps = np.zeros(length)
+    amps = np.power(reflect, refl_count) / (4.0 * np.pi * dist)
+    base = np.floor(delays).astype(np.int64)
+    frac = delays - base
+    lo_ok = base < length
+    hi_ok = base + 1 < length
+    np.add.at(taps, base[lo_ok], amps[lo_ok] * (1.0 - frac[lo_ok]))
+    np.add.at(taps, base[hi_ok] + 1, amps[hi_ok] * frac[hi_ok])
+    return taps
+
+
+@pytest.mark.parametrize("order", [4, 20])
+@pytest.mark.parametrize("truncate", [False, True])
+def test_rir_bit_identical_to_add_at_oracle(order, truncate):
+    cfg = acoustic.SimulatorConfig(max_image_order=order)
+    for seed in range(20):
+        room = acoustic.sample_room(np.random.default_rng(seed), cfg)
+        full = acoustic.compute_rir(room, 16000).taps
+        # a truncating duration keeps about the first 60% of the response
+        duration = 0.6 * len(full) / 16000 if truncate else None
+        taps = acoustic.compute_rir(room, 16000, duration=duration).taps
+        want = rir_add_at_oracle(room, 16000, duration)
+        assert (len(taps) < len(full)) == truncate
+        assert np.array_equal(taps.view(np.uint64), want.view(np.uint64))
+
+
 def test_rir_degenerate_geometry():
     room = acoustic.RoomSpec((5, 4, 3), [1, 1, 1], [1, 1, 1], 0.4)
     with pytest.raises(DegenerateGeometryError):

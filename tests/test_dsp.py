@@ -91,6 +91,60 @@ def test_istft_rejects_gappy_hop():
         dsp.stft(rand_wave(4000), cfg)
 
 
+def stft_gather_oracle(w, cfg):
+    """The index-array STFT that strided framing replaced."""
+    win = cfg.window_samples(w.sample_rate)
+    hop = cfg.hop_samples(w.sample_rate)
+    num_frames = 1 + (len(w.samples) - win) // hop
+    idx = np.arange(win)[None, :] + hop * np.arange(num_frames)[:, None]
+    frames = w.samples[idx] * dsp.hann_periodic(win)[None, :]
+    return np.fft.rfft(frames, n=cfg.dft_size, axis=1)
+
+
+def istft_loop_oracle(s):
+    """The frame-by-frame overlap-add that the block overlap-add replaced."""
+    win = s.config.window_samples(s.sample_rate)
+    hop = s.config.hop_samples(s.sample_rate)
+    span = (s.num_frames - 1) * hop + win
+    window = dsp.hann_periodic(win)
+    frames = np.fft.irfft(s.frames, n=s.config.dft_size, axis=1)[:, :win]
+    out = np.zeros(span)
+    norm = np.zeros(span)
+    for m in range(s.num_frames):
+        sl = slice(m * hop, m * hop + win)
+        out[sl] += frames[m] * window
+        norm[sl] += window * window
+    good = norm > 1e-12
+    out[good] /= norm[good]
+    out[~good] = 0.0
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("window_ms,hop_ms,dft", [
+    (25.0, 10.0, 512),
+    (50.0, 12.5, 1024),
+    (32.0, 16.0, 512),
+    (30.0, 20.0, 512),  # hop does not divide the window: a partial last chunk
+])
+@pytest.mark.parametrize("length", ["one-frame", "two-frames", "one-second"])
+@pytest.mark.parametrize("signal", ["noise", "zeros"])
+def test_stft_istft_bit_identical_to_gather_and_loop(window_ms, hop_ms, dft,
+                                                       length, signal):
+    sr = 16000
+    cfg = dsp.StftConfig(window_ms=window_ms, hop_ms=hop_ms, dft_size=dft)
+    win, hop = cfg.window_samples(sr), cfg.hop_samples(sr)
+    n = {"one-frame": win, "two-frames": win + hop, "one-second": sr}[length]
+    w = rand_wave(n, seed=5) if signal == "noise" else dsp.Waveform(np.zeros(n), sr)
+    s = dsp.stft(w, cfg)
+    assert s.num_frames == 1 + (n - win) // hop
+    assert np.array_equal(bits(s.frames), bits(stft_gather_oracle(w, cfg)))
+    assert np.array_equal(bits(dsp.istft(s).samples), bits(istft_loop_oracle(s)))
+
+
 def test_parseval_per_frame():
     cfg = dsp.StftConfig()
     sr = 16000

@@ -195,17 +195,22 @@ def test_unknown_frame_type_resets_connection(corpus, monkeypatch, after_hello):
     assert hooked == []
 
 
-def fake_server(frames):
-    """A listener that answers one HELLO, sends frames, then waits for EOF."""
+GOOD_HELLO_REPLY = encode_frame(MsgType.HELLO, json.dumps(
+    {"version": 1, "slot": 0, "num_slots": 1, "epochs": 1}).encode())
+
+
+def fake_server(frames, reply=GOOD_HELLO_REPLY):
+    """A listener that answers one HELLO with reply, sends frames, then
+    waits for EOF (at most 10 s)."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
         conn, _ = listener.accept()
+        conn.settimeout(10)
         with conn, contextlib.suppress(OSError, EsfError):
             reader = FrameReader(conn.recv_into)
             reader.read_frame()  # HELLO
-            conn.sendall(encode_frame(MsgType.HELLO, json.dumps(
-                {"version": 1, "slot": 0, "num_slots": 1, "epochs": 1}).encode()))
+            conn.sendall(reply)
             for frame in frames:
                 conn.sendall(frame)
             while reader.read_frame() is not None:  # credits, until EOF
@@ -241,6 +246,30 @@ def test_malformed_server_frame_raises_delivery_error(frame):
         thread.join(timeout=10)
         listener.close()
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("reply", [
+    encode_frame(MsgType.ERROR, json.dumps({"message": "no pipeline slots left"}).encode()),
+    encode_frame(MsgType.ERROR, b"not json"),
+    encode_frame(MsgType.ERROR, b"\xff\xfe"),
+    encode_frame(MsgType.ERROR, b"[1]"),
+    encode_frame(MsgType.ERROR, b"{}"),
+    encode_frame(MsgType.HELLO, b"not json"),
+    encode_frame(MsgType.HELLO, b"[1]"),
+    encode_frame(MsgType.END, b""),
+], ids=["refused", "error-not-json", "error-not-utf8", "error-not-object",
+        "error-without-message", "hello-not-json", "hello-not-object", "end"])
+def test_handshake_failure_raises_delivery_error_and_closes(reply):
+    listener, thread = fake_server([], reply=reply)
+    try:
+        # err holds the traceback, so a socket the client failed to close
+        # stays open here instead of being closed by garbage collection
+        with pytest.raises(DeliveryError) as err:
+            connect_consumer(listener.getsockname(), timeout=10)
+        thread.join(timeout=5)  # the fake server returns once it reads EOF
+        assert not thread.is_alive(), "consumer left its socket open"
+    finally:
+        listener.close()
 
 
 def test_version_mismatch_gets_error_frame(corpus):

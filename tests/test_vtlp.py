@@ -116,6 +116,34 @@ def test_warp_spectrum_rejects_bad_length():
         vtlp.warp_spectrum(np.zeros(1, dtype=complex), 0.9)
 
 
+def interp_frames_two_gather_oracle(frames, pos):
+    """The gather-and-broadcast interpolation that _interp_frames replaced."""
+    n = frames.shape[1]
+    idx = np.minimum(np.floor(pos).astype(np.int64), n - 2)
+    frac = pos - idx
+    out = frames[:, idx] * (1.0 - frac) + frames[:, idx + 1] * frac
+    out[:, 0] = out[:, 0].real
+    out[:, -1] = out[:, -1].real
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.93, 1.0, 1.2])
+def test_interp_frames_bit_identical_to_two_gather_oracle(alpha):
+    rng = np.random.default_rng(17)
+    frames = rng.standard_normal((12, 513)) + 1j * rng.standard_normal((12, 513))
+    frames[2] = 0.0
+    frames[5] = complex(0.0, -0.0)
+    frames.imag[7] = -0.0
+    frames.real[9] = -0.0
+    signed_zeros = rng.random(frames.shape) < 0.1
+    frames.imag[signed_zeros] = -0.0
+    pos = vtlp._source_positions(frames.shape[1], alpha)
+    got = vtlp._interp_frames(frames, pos)
+    want = interp_frames_two_gather_oracle(frames, pos)
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
 def test_resynthesis_identity_alpha_one():
     rng = np.random.default_rng(6)
     w = dsp.Waveform(rng.standard_normal(16000) * 0.2, 16000)
