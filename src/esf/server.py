@@ -2,11 +2,12 @@
 credit-based flow control.
 
 Each connection takes one pipeline slot and three threads, and every handoff
-between them blocks on the event it waits for. A producer fills a bounded
-queue (capacity = the consumer's max_credits, so server-side buffering can
-never exceed it); the connection's thread sends one queued batch per credit
-of a semaphore; a reader releases that semaphore per granted credit, answers
-STATS, and releases it once more when the read side ends, to wake the sender.
+between them blocks on the event it waits for. A producer encodes each batch
+into its frame and fills a bounded queue (capacity = the consumer's
+max_credits, so server-side buffering can never exceed it); the connection's
+thread only writes, one queued frame per credit of a semaphore; a reader
+releases that semaphore per granted credit, answers STATS, and releases it
+once more when the read side ends, to wake the sender.
 After END or ERROR the server half-closes, waits on the reader for the peer's
 EOF, drains the queue once to free a blocked producer, and joins both threads;
 the last slot to finish shuts the listener down, which ends run(). A server
@@ -131,12 +132,16 @@ class _Connection:
             self.credits.release()
 
     def producer_loop(self, cfg: ServerConfig, slot_cfg: PipelineConfig) -> None:
+        # frames are encoded here so the sender only writes, which releases
+        # the GIL: the connection's two busy threads never contend for it
+        ordinals = itertools.count()
         try:
             for epoch in range(cfg.epochs):
                 self.epoch = epoch
                 for batch in build_pipeline(slot_cfg, cfg.warp_spec, cfg.sim_config,
                                             epoch=epoch, stats=self.map_stats):
-                    self.queue.put(batch)  # blocks at max_credits: backpressure
+                    frame = encode_batch_frame(next(ordinals), batch)
+                    self.queue.put(frame)  # blocks at max_credits: backpressure
                     if not self.alive:
                         return
             self.queue.put(None)  # end of stream
@@ -144,7 +149,7 @@ class _Connection:
             self.queue.put(exc)
 
     def sender_loop(self) -> None:
-        for ordinal in itertools.count():
+        while True:
             self.credits.acquire()  # a granted credit, or the reader's last release
             if not self.alive:
                 return
@@ -158,7 +163,7 @@ class _Connection:
             # count before the write: the write lock orders the frame ahead
             # of any STATS reply that reports it
             self.batches_sent += 1
-            self.send_frame(encode_batch_frame(ordinal, item))
+            self.send_frame(item)
 
     def close(self, producer: threading.Thread, reader: threading.Thread) -> None:
         """Half-close, wait for the peer's EOF, then join both threads."""

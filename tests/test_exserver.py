@@ -363,6 +363,27 @@ def test_multi_epoch_stream(corpus):
     thread.join(timeout=10)
 
 
+def test_producer_encodes_every_frame_numbered_across_epochs(corpus, monkeypatch):
+    # the sender only writes: each batch frame is encoded on the producer
+    # thread, and ordinals run on from one epoch into the next
+    real = server_mod.encode_batch_frame
+    calls = []
+
+    def recording(ordinal, batch):
+        calls.append((ordinal, threading.current_thread().name))
+        return real(ordinal, batch)
+
+    monkeypatch.setattr(server_mod, "encode_batch_frame", recording)
+    server, endpoint, thread = make_server(corpus, epochs=2)
+    with connect_consumer(endpoint) as c:
+        batches = list(c)
+        assert c.last_ordinal == 9
+    thread.join(timeout=10)
+    assert len(batches) == 10
+    assert [ordinal for ordinal, _ in calls] == list(range(10))
+    assert {name for _, name in calls} == {"esf-producer-0"}
+
+
 def test_corrupted_batch_payload_surfaces_crc_error(corpus):
     # proxy between client and server flips one byte inside the first BATCH
     server, endpoint, thread = make_server(corpus)
