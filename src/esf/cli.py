@@ -1,6 +1,7 @@
 """Single entry point exposing every workflow as a subcommand.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 network error.
+Exit codes: 0 success, 1 usage or configuration error, 2 data error,
+3 network error.
 Diagnostics go to stderr; data goes to stdout or to files.
 """
 
@@ -24,6 +25,19 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NETWORK = 3
 
+# Shorthand flags, per command: argparse dest -> the config field it sets
+# when given, after the config file and --set.
+_SERVER_FLAGS = {"pipelines": "server.num_pipelines", "epochs": "server.epochs",
+                 "seed": "pipeline.seed"}
+SHORTHANDS = {
+    "serve": _SERVER_FLAGS,
+    "launch": _SERVER_FLAGS,
+    "bench": {dest: f"bench.{dest}" for dest in
+              ("servers", "consumers", "step_cost", "repeats", "utterances")},
+    "decode": {"lambda_p": "fusion.lambda_prior", "lambda_lm": "fusion.lambda_lm",
+               "beam": "fusion.beam_size", "max_len": "fusion.max_len"},
+}
+
 
 class UsageError(Exception):
     pass
@@ -37,6 +51,10 @@ class Parser(argparse.ArgumentParser):
 def build_parser() -> Parser:
     parser = Parser(prog="esf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", help="config JSON (default $ESF_CONFIG)")
+    configured.add_argument("--set", dest="overrides", action="append", default=[],
+                            metavar="SECTION.KEY=VALUE", help="override any config field")
 
     p = sub.add_parser("shard", help="pack a wav+transcript manifest into shards")
     p.add_argument("--in", dest="manifest", required=True,
@@ -68,32 +86,24 @@ def build_parser() -> Parser:
     p.add_argument("output", nargs="?", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("pipeline-dryrun",
+    p = sub.add_parser("pipeline-dryrun", parents=[configured],
                        help="run the pipeline, print batch shapes and a stream checksum")
-    p.add_argument("--config", help="config JSON (default $ESF_CONFIG)")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="SECTION.KEY=VALUE", help="override any config field")
     p.add_argument("--epochs", type=int, default=1)
     p.set_defaults(func=cmd_dryrun)
 
-    p = sub.add_parser("serve", help="serve batches to consumers")
-    p.add_argument("--config", help="config JSON (default $ESF_CONFIG)")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="SECTION.KEY=VALUE", help="override any config field")
+    p = sub.add_parser("serve", parents=[configured], help="serve batches to consumers")
     p.add_argument("--bind", help="host:port (overrides config)")
     p.add_argument("--pipelines", type=int, help="number of pipeline slots")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("launch", help="spawn several server processes")
-    p.add_argument("--config", help="config JSON (default $ESF_CONFIG)")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="SECTION.KEY=VALUE", help="override any config field")
+    p = sub.add_parser("launch", parents=[configured],
+                       help="spawn several server processes")
     p.add_argument("--servers", type=int, required=True)
-    p.add_argument("--pipelines", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pipelines", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_launch)
 
     p = sub.add_parser("consume", help="consume one epoch from a server")
@@ -103,11 +113,10 @@ def build_parser() -> Parser:
     p.add_argument("--max-credits", type=int, default=4)
     p.set_defaults(func=cmd_consume)
 
-    p = sub.add_parser("bench", help="servers-vs-consumers throughput study (CSV)")
-    p.add_argument("--config", help="config JSON (default $ESF_CONFIG)")
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="SECTION.KEY=VALUE", help="override any config field")
-    p.add_argument("--servers", help="server counts, e.g. 1..5 or 1,2,4")
+    p = sub.add_parser("bench", parents=[configured],
+                       help="servers-vs-consumers throughput study (CSV)")
+    p.add_argument("--servers", type=server_counts,
+                   help="server counts, e.g. 1..5 or 1,2,4")
     p.add_argument("--consumers", type=int)
     p.add_argument("--step-cost", type=float)
     p.add_argument("--repeats", type=int)
@@ -119,15 +128,26 @@ def build_parser() -> Parser:
     p.add_argument("--am", help="table acoustic scorer JSON")
     p.add_argument("--lm", help="bigram language model JSON")
     p.add_argument("--prior", help="prior JSON (list of log-probs); default uniform")
-    p.add_argument("--lambda-p", type=float, default=None)
-    p.add_argument("--lambda-lm", type=float, default=None)
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--lambda-p", type=float)
+    p.add_argument("--lambda-lm", type=float)
+    p.add_argument("--beam", type=int)
+    p.add_argument("--max-len", type=int)
     p.add_argument("--demo", action="store_true",
                    help="run a small built-in toy instance instead of files")
     p.set_defaults(func=cmd_decode)
 
     return parser
+
+
+def config_from_args(args) -> dict:
+    """Defaults, then --config or $ESF_CONFIG, then --set, then shorthand flags."""
+    cfg = cfgmod.load_config(getattr(args, "config", None),
+                             getattr(args, "overrides", None))
+    for dest, field in SHORTHANDS.get(args.command, {}).items():
+        section, _, key = field.partition(".")
+        if getattr(args, dest) is not None:
+            cfg[section][key] = getattr(args, dest)
+    return cfg
 
 
 def cmd_shard(args) -> int:
@@ -183,23 +203,20 @@ def cmd_augment(args) -> int:
         w = res.waveform
         print(f"vtlp.alpha={res.alpha:.6f} applied={res.applied}", file=sys.stderr)
     if args.room or args.t60 is not None or args.snr is not None:
-        base = cfgmod.DEFAULTS["acoustic"]
-        dim_ranges = base["dim_ranges"]
+        fixed = {}
         if args.room:
             dims = [float(x) for x in args.room.lower().split("x")]
             if len(dims) != 3:
                 raise UsageError("--room must look like 5x4x3")
-            dim_ranges = [[d, d] for d in dims]
-        t60_range = [args.t60, args.t60] if args.t60 is not None else base["t60_range"]
+            fixed["dim_ranges"] = tuple((d, d) for d in dims)
+        if args.t60 is not None:
+            fixed["t60_range"] = (args.t60, args.t60)
+        if args.snr is not None:
+            fixed["snr_range_db"] = (args.snr, args.snr)
         apply_reverb = bool(args.room or args.t60 is not None)
-        apply_noise = args.snr is not None
-        sim_cfg = SimulatorConfig(
-            dim_ranges=tuple(tuple(r) for r in dim_ranges),
-            t60_range=tuple(t60_range),
-            snr_range_db=(args.snr, args.snr) if apply_noise else (0.0, 25.0),
-            probability_of_reverb=1.0 if apply_reverb else 0.0,
-            probability_of_noise=1.0 if apply_noise else 0.0,
-        )
+        sim_cfg = SimulatorConfig(  # unset fields keep their defaults
+            **fixed, probability_of_reverb=1.0 if apply_reverb else 0.0,
+            probability_of_noise=1.0 if args.snr is not None else 0.0)
         rec = UtteranceRecord.from_float("cli", w.sample_rate, w.samples)
         out = simulate(rec, rng, sim_cfg)
         w = dsp.Waveform(out.float_samples(), out.sample_rate)
@@ -232,7 +249,7 @@ def cmd_dryrun(args) -> int:
     from .util import crc32c
     from .wire import encode_batch
 
-    cfg = cfgmod.load_config(args.config, args.overrides)
+    cfg = config_from_args(args)
     pcfg = cfgmod.pipeline_config(cfg)
     warp = cfgmod.warp_spec(cfg)
     sim = cfgmod.simulator_config(cfg)
@@ -254,17 +271,11 @@ def cmd_dryrun(args) -> int:
 def cmd_serve(args) -> int:
     from .server import serve
 
-    cfg = cfgmod.load_config(args.config, args.overrides)
+    cfg = config_from_args(args)
     if args.bind:
         host, _, port = args.bind.rpartition(":")
         cfg["server"]["host"] = host or "127.0.0.1"
         cfg["server"]["port"] = int(port)
-    if args.pipelines is not None:
-        cfg["server"]["num_pipelines"] = args.pipelines
-    if args.epochs is not None:
-        cfg["server"]["epochs"] = args.epochs
-    if args.seed is not None:
-        cfg["pipeline"]["seed"] = args.seed
     scfg = cfgmod.server_config(cfg)
 
     def announce(endpoint):
@@ -278,9 +289,10 @@ def cmd_serve(args) -> int:
 def cmd_launch(args) -> int:
     from .server import launch_servers
 
-    cfg = cfgmod.load_config(args.config, args.overrides)
-    procs = launch_servers(args.servers, cfg, pipelines_per_server=args.pipelines,
-                           epochs=args.epochs, seed_base=args.seed)
+    cfg = config_from_args(args)
+    scfg = cfgmod.server_config(cfg)  # a bad config fails here, not in every server
+    procs = launch_servers(args.servers, cfg, pipelines_per_server=scfg.num_pipelines,
+                           epochs=scfg.epochs, seed_base=scfg.pipeline.seed)
     for p in procs:
         print(f"{p.index} {p.host}:{p.port}")
     sys.stdout.flush()
@@ -312,7 +324,7 @@ def cmd_consume(args) -> int:
     return EXIT_OK
 
 
-def _parse_server_counts(text: str) -> list[int]:
+def server_counts(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
@@ -323,17 +335,12 @@ def cmd_bench(args) -> int:
     from .synth import write_synth_corpus
     from .trainsim import BENCH_CSV_HEADER, bench_scaling
 
-    cfg = cfgmod.load_config(args.config, args.overrides)
+    cfg = config_from_args(args)
     bench = cfg["bench"]
-    servers = _parse_server_counts(args.servers) if args.servers else bench["servers"]
-    consumers = args.consumers if args.consumers is not None else bench["consumers"]
-    step_cost = args.step_cost if args.step_cost is not None else bench["step_cost"]
-    repeats = args.repeats if args.repeats is not None else bench["repeats"]
-    utterances = args.utterances if args.utterances is not None else bench["utterances"]
 
     with tempfile.TemporaryDirectory(prefix="esf-bench-") as tmp:
         shards, vocab = write_synth_corpus(
-            tmp, utterances, bench["num_shards"], seed=args.seed,
+            tmp, bench["utterances"], bench["num_shards"], seed=args.seed,
             sample_rate=bench["sample_rate"],
             duration_range=tuple(bench["duration_range"]))
         cfg["pipeline"]["shard_paths"] = shards.shard_paths
@@ -342,10 +349,11 @@ def cmd_bench(args) -> int:
         cfg["pipeline"]["shuffle_buffer"] = bench["shuffle_buffer"]
         cfg["acoustic"]["max_image_order"] = bench["max_image_order"]
         cfg["acoustic"]["probability_of_reverb"] = bench["probability_of_reverb"]
-        print(f"benchmarking S={servers} G={consumers} step_cost={step_cost}s "
-              f"corpus={utterances} utts", file=sys.stderr)
-        rows = bench_scaling(servers, consumers, step_cost, cfg,
-                             repeats=repeats, seed_base=args.seed)
+        print(f"benchmarking S={bench['servers']} G={bench['consumers']} "
+              f"step_cost={bench['step_cost']}s corpus={bench['utterances']} utts",
+              file=sys.stderr)
+        rows = bench_scaling(bench["servers"], bench["consumers"], bench["step_cost"],
+                             cfg, repeats=bench["repeats"], seed_base=args.seed)
     print(BENCH_CSV_HEADER)
     for row in rows:
         print(row.csv())
@@ -371,12 +379,8 @@ def cmd_decode(args) -> int:
     from .fusion import (FusionWeights, PriorModel, TableAcousticScorer,
                          BigramLanguageScorer, beam_search, uniform_prior)
 
-    cfg = cfgmod.load_config(None)
-    fus = cfg["fusion"]
-    lambda_p = args.lambda_p if args.lambda_p is not None else fus["lambda_prior"]
-    lambda_lm = args.lambda_lm if args.lambda_lm is not None else fus["lambda_lm"]
-    beam = args.beam if args.beam is not None else fus["beam_size"]
-    max_len = args.max_len if args.max_len is not None else fus["max_len"]
+    fus = config_from_args(args)["fusion"]
+    max_len = fus["max_len"]
 
     if args.demo:
         am, lm, eos_id = _demo_scorers()
@@ -395,15 +399,15 @@ def cmd_decode(args) -> int:
             prior = PriorModel(np.asarray(json.load(fh), dtype=np.float64))
     else:
         prior = uniform_prior(vocab_size)
-    weights = FusionWeights(lambda_prior=lambda_p, lambda_lm=lambda_lm)
-    best = beam_search(am, lm, prior, weights, beam, max_len, eos_id)
+    weights = FusionWeights(lambda_prior=fus["lambda_prior"], lambda_lm=fus["lambda_lm"])
+    best = beam_search(am, lm, prior, weights, fus["beam_size"], max_len, eos_id)
     print(json.dumps({
         "tokens": list(best.tokens[1:]),
         "score": best.score,
         "finished": best.finished,
-        "beam_size": beam,
-        "lambda_p": lambda_p,
-        "lambda_lm": lambda_lm,
+        "beam_size": fus["beam_size"],
+        "lambda_p": fus["lambda_prior"],
+        "lambda_lm": fus["lambda_lm"],
     }))
     return EXIT_OK
 

@@ -3,12 +3,14 @@
 Sections mirror the modules; unknown sections or keys are rejected with a
 path-qualified error so typos cannot silently fall back to defaults. Every
 value can also be overridden by a CLI flag. The ESF_CONFIG environment
-variable names the default config file.
+variable names the default config file. The sections in SECTIONS take their
+keys, defaults and types from the fields of their dataclasses.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -20,49 +22,35 @@ from .vtlp import WarpSpec
 
 ENV_VAR = "ESF_CONFIG"
 
+SECTIONS = {"pipeline": PipelineConfig, "vtlp": WarpSpec,
+            "acoustic": SimulatorConfig, "server": ServerConfig}
+# Keys that are not one per field: the on/off switch of an optional stage,
+# and WarpSpec.alpha_range written as two keys.
+ENABLED = ("vtlp", "acoustic")
+SPLIT = {"vtlp": {"alpha_range": ("alpha_min", "alpha_max")}}
+# ServerConfig fields that are built from the other sections.
+NESTED = ("pipeline", "warp_spec", "sim_config")
+
+
+def _keys(section: str):
+    """(key, default) pairs of a section: its switch, then its dataclass fields."""
+    if section in ENABLED:
+        yield "enabled", True
+    for f in dataclasses.fields(SECTIONS[section]):
+        default = [] if f.default is dataclasses.MISSING else f.default  # shard_paths
+        if f.name in SPLIT.get(section, {}):
+            yield from zip(SPLIT[section][f.name], default)
+        elif f.name not in NESTED:
+            yield f.name, default
+
+
 DEFAULTS: dict = {
     "recordio": {
         "num_shards": 4,
         "path_pattern": "corpus-{shard:04d}.esrd",
     },
-    "pipeline": {
-        "shard_paths": [],
-        "interleave_cycle_length": 2,
-        "shuffle_buffer": 64,
-        "batch_size": 8,
-        "pad_value": 0.0,
-        "seed": 0,
-        "parallel_map_width": 1,
-        "vocab_path": None,
-        "map_error_policy": "skip",
-    },
-    "vtlp": {
-        "enabled": True,
-        "alpha_min": 0.8,
-        "alpha_max": 1.2,
-        "window_ms": 50.0,
-        "hop_ms": 12.5,
-        "dft_size": 1024,
-    },
-    "acoustic": {
-        "enabled": True,
-        "dim_ranges": [[3.0, 10.0], [3.0, 8.0], [2.5, 4.0]],
-        "t60_range": [0.2, 0.8],
-        "snr_range_db": [0.0, 25.0],
-        "noise_source": "white",
-        "probability_of_reverb": 1.0,
-        "probability_of_noise": 1.0,
-        "max_image_order": 20,
-        "wall_clearance": 0.3,
-    },
-    "server": {
-        "host": "127.0.0.1",
-        "port": 0,
-        "num_pipelines": 1,
-        "epochs": 1,
-        "server_index": 0,
-        "server_count": 1,
-    },
+    **{section: json.loads(json.dumps(dict(_keys(section))))  # tuples as lists
+       for section in SECTIONS},
     "bench": {
         "servers": [1, 2, 3, 4, 5],
         "consumers": 2,
@@ -86,22 +74,21 @@ DEFAULTS: dict = {
 }
 
 
-def merge_config(overrides: dict | None) -> dict:
-    """Defaults overlaid with a user document; unknown keys are errors."""
+def merge_config(*docs: dict | None) -> dict:
+    """Defaults overlaid with user documents in turn; unknown keys are errors."""
     cfg = copy.deepcopy(DEFAULTS)
-    if not overrides:
-        return cfg
-    if not isinstance(overrides, dict):
-        raise ConfigurationError("config document must be a JSON object")
-    for section, values in overrides.items():
-        if section not in cfg:
-            raise ConfigurationError(f"unknown config section {section!r}")
-        if not isinstance(values, dict):
-            raise ConfigurationError(f"section {section!r} must be an object")
-        for key, value in values.items():
-            if key not in cfg[section]:
-                raise ConfigurationError(f"unknown config key {section}.{key}")
-            cfg[section][key] = value
+    for doc in filter(None, docs):
+        if not isinstance(doc, dict):
+            raise ConfigurationError("config document must be a JSON object")
+        for section, values in doc.items():
+            if section not in cfg:
+                raise ConfigurationError(f"unknown config section {section!r}")
+            if not isinstance(values, dict):
+                raise ConfigurationError(f"section {section!r} must be an object")
+            for key, value in values.items():
+                if key not in cfg[section]:
+                    raise ConfigurationError(f"unknown config key {section}.{key}")
+                cfg[section][key] = value
     return cfg
 
 
@@ -113,83 +100,68 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     """
     if path is None:
         path = os.environ.get(ENV_VAR)
-    if path is None:
-        cfg = merge_config(None)
-    else:
+    doc = None
+    if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-        cfg = merge_config(doc)
+    sets: dict = {}
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         if not sep or "." not in key:
             raise ConfigurationError(
                 f"override must look like section.key=value, got {item!r}")
         section, _, field = key.partition(".")
-        if section not in cfg:
-            raise ConfigurationError(f"unknown config section {section!r}")
-        if field not in cfg[section]:
-            raise ConfigurationError(f"unknown config key {section}.{field}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        cfg[section][field] = value
-    return cfg
+        sets.setdefault(section, {})[field] = value
+    return merge_config(doc, sets)
+
+
+def _convert(default, value):
+    """value as the type of default: numbers converted, tuples per element."""
+    if isinstance(default, tuple):
+        return tuple(_convert(default[0], v) for v in value)
+    if isinstance(default, list):
+        return list(value)
+    if isinstance(default, (int, float)):
+        return type(default)(value)
+    return value
+
+
+def _build(cfg: dict, section: str, **nested):
+    """The section's dataclass from its keys, or None if it is disabled."""
+    values = cfg[section]
+    if not values.get("enabled", True):
+        return None
+    kwargs = {}
+    for key, default in _keys(section):
+        try:
+            kwargs[key] = _convert(default, values[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{section}.{key}: {exc}") from exc
+    kwargs.pop("enabled", None)
+    for field, keys in SPLIT.get(section, {}).items():
+        kwargs[field] = tuple(kwargs.pop(key) for key in keys)
+    return SECTIONS[section](**kwargs, **nested)
 
 
 def pipeline_config(cfg: dict) -> PipelineConfig:
-    p = cfg["pipeline"]
-    return PipelineConfig(
-        shard_paths=list(p["shard_paths"]),
-        interleave_cycle_length=int(p["interleave_cycle_length"]),
-        shuffle_buffer=int(p["shuffle_buffer"]),
-        batch_size=int(p["batch_size"]),
-        pad_value=float(p["pad_value"]),
-        seed=int(p["seed"]),
-        parallel_map_width=int(p["parallel_map_width"]),
-        vocab_path=p["vocab_path"],
-        map_error_policy=p["map_error_policy"],
-    )
+    return _build(cfg, "pipeline")
 
 
 def warp_spec(cfg: dict) -> WarpSpec | None:
-    v = cfg["vtlp"]
-    if not v["enabled"]:
-        return None
-    return WarpSpec(alpha_range=(float(v["alpha_min"]), float(v["alpha_max"])),
-                    window_ms=float(v["window_ms"]), hop_ms=float(v["hop_ms"]),
-                    dft_size=int(v["dft_size"]))
+    return _build(cfg, "vtlp")
 
 
 def simulator_config(cfg: dict) -> SimulatorConfig | None:
-    a = cfg["acoustic"]
-    if not a["enabled"]:
-        return None
-    return SimulatorConfig(
-        dim_ranges=tuple(tuple(float(x) for x in r) for r in a["dim_ranges"]),
-        t60_range=tuple(float(x) for x in a["t60_range"]),
-        snr_range_db=tuple(float(x) for x in a["snr_range_db"]),
-        noise_source=a["noise_source"],
-        probability_of_reverb=float(a["probability_of_reverb"]),
-        probability_of_noise=float(a["probability_of_noise"]),
-        max_image_order=int(a["max_image_order"]),
-        wall_clearance=float(a["wall_clearance"]),
-    )
+    return _build(cfg, "acoustic")
 
 
 def server_config(cfg: dict) -> ServerConfig:
-    s = cfg["server"]
-    return ServerConfig(
-        pipeline=pipeline_config(cfg),
-        warp_spec=warp_spec(cfg),
-        sim_config=simulator_config(cfg),
-        host=s["host"],
-        port=int(s["port"]),
-        num_pipelines=int(s["num_pipelines"]),
-        epochs=int(s["epochs"]),
-        server_index=int(s["server_index"]),
-        server_count=int(s["server_count"]),
-    )
+    return _build(cfg, "server", pipeline=pipeline_config(cfg),
+                  warp_spec=warp_spec(cfg), sim_config=simulator_config(cfg))

@@ -30,7 +30,7 @@ import threading
 from dataclasses import dataclass, replace
 
 from .acoustic import SimulatorConfig
-from .errors import EsfError, FormatError, LaunchError
+from .errors import ConfigurationError, EsfError, FormatError, LaunchError
 from .pipeline import MapStats, PipelineConfig, build_pipeline
 from .util import hash64
 from .vtlp import WarpSpec
@@ -53,11 +53,11 @@ class ServerConfig:
 
     def __post_init__(self):
         if self.num_pipelines < 1:
-            raise ValueError("num_pipelines must be >= 1")
+            raise ConfigurationError("num_pipelines must be >= 1")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigurationError("epochs must be >= 1")
         if not (0 <= self.server_index < self.server_count):
-            raise ValueError("server_index must lie in [0, server_count)")
+            raise ConfigurationError("server_index must lie in [0, server_count)")
 
 
 def _owned_shards(paths: list[str], index: int, count: int) -> list[str]:

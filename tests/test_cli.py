@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,9 @@ import pytest
 
 import esf.__main__ as entry
 import esf.cli
+import esf.server
+import esf.synth
+import esf.trainsim
 from esf import dsp
 from esf.cli import main
 from esf.config import merge_config
@@ -73,6 +77,25 @@ def test_augment_full_chain_runs(tmp_path, capsys):
     assert main(["augment", "--vtlp-alpha", "0.8:1.2", "--room", "5x4x3",
                  "--t60", "0.43", "--snr", "15", "--seed", "3", src, dst2]) == 0
     assert open(dst, "rb").read() == open(dst2, "rb").read()
+
+
+@pytest.mark.parametrize("flags, sha256", [
+    (["--room", "5x4x3", "--t60", "0.43", "--snr", "15", "--seed", "3"],
+     "3c83d5542c1cf0c25757bc7a0e5c6d4170726e380f4cf354a2e585856a8f266c"),
+    (["--room", "5x4x3"],
+     "edf8091d054f41d406db3359a932b3b8487929243b978671ab5ce94ed08bd23f"),
+    (["--snr", "10"],
+     "14a91873372b4c09ddb94565453ff9ac9cc5fbc2049c555385e7715ef5b281cb"),
+    (["--t60", "0.3"],
+     "8960aba9e7bfd948fd62c26534079f7dd221ba66cb4a09e34f6e21e927748fc2"),
+])
+def test_augment_acoustic_output_is_pinned(flags, sha256, tmp_path, capsys):
+    # unset flags fall back to the SimulatorConfig defaults
+    src = str(tmp_path / "in.wav")
+    dst = str(tmp_path / "out.wav")
+    write_tone(src)
+    assert main(["augment", *flags, src, dst]) == 0
+    assert hashlib.sha256(open(dst, "rb").read()).hexdigest() == sha256
 
 
 def test_augment_missing_input_is_data_error(tmp_path):
@@ -151,6 +174,7 @@ def test_pipeline_dryrun_reproducible(dryrun_config, capsys):
     assert first == second
     assert "checksum=" in first
     assert "batches=3 records=12" in first
+    assert "batches=3 records=12 checksum=014eee20" in first
 
 
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):
@@ -169,6 +193,136 @@ def test_set_flag_overrides_any_field(dryrun_config, capsys):
     assert "pipeline.no_such" in capsys.readouterr().err
     assert main(["pipeline-dryrun", "--config", dryrun_config,
                  "--set", "malformed"]) == 1
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["serve", "--set", "server.num_pipelines=0"], "num_pipelines"),
+    (["serve", "--set", "server.epochs=0"], "epochs"),
+    (["serve", "--pipelines", "0"], "num_pipelines"),
+    (["pipeline-dryrun", "--set", "pipeline.batch_size=abc"], "pipeline.batch_size"),
+    (["pipeline-dryrun", "--set", "acoustic.t60_range=0.5"], "acoustic.t60_range"),
+    (["launch", "--servers", "1", "--set", "server.epochs=x"], "server.epochs"),
+])
+def test_config_value_errors_are_usage_errors(argv, key, monkeypatch, capsys):
+    monkeypatch.delenv("ESF_CONFIG", raising=False)
+    monkeypatch.setattr(esf.server, "serve", lambda *a, **k: pytest.fail("served"))
+    monkeypatch.setattr(esf.server, "launch_servers",
+                        lambda *a, **k: pytest.fail("launched"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert key in err
+
+
+@pytest.fixture
+def layered_config(tmp_path, monkeypatch):
+    """A config file that sets every shorthand's field; returns its path."""
+    monkeypatch.delenv("ESF_CONFIG", raising=False)
+    path = tmp_path / "layered.json"
+    path.write_text(json.dumps({
+        "pipeline": {"seed": 42},
+        "server": {"num_pipelines": 3, "epochs": 2},
+        "bench": {"servers": [2], "consumers": 3, "step_cost": 0.5, "repeats": 2,
+                  "utterances": 7},
+        "fusion": {"lambda_prior": 0.25, "lambda_lm": 0.5, "beam_size": 5,
+                   "max_len": 4},
+    }))
+    return str(path)
+
+
+def fake_serve(monkeypatch):
+    seen = []
+    monkeypatch.setattr(esf.server, "serve", lambda scfg, ready: seen.append(scfg))
+    return seen
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ([], (3, 2, 42)),
+    (["--set", "server.num_pipelines=4", "--set", "server.epochs=5",
+      "--set", "pipeline.seed=6"], (4, 5, 6)),
+    (["--set", "server.num_pipelines=4", "--set", "server.epochs=5",
+      "--set", "pipeline.seed=6", "--pipelines", "7", "--epochs", "8",
+      "--seed", "9"], (7, 8, 9)),
+])
+def test_serve_precedence_file_then_set_then_flags(extra, expected, layered_config,
+                                                   monkeypatch):
+    seen = fake_serve(monkeypatch)
+    assert main(["serve", "--config", layered_config, *extra]) == 0
+    (scfg,) = seen
+    assert (scfg.num_pipelines, scfg.epochs, scfg.pipeline.seed) == expected
+
+
+def test_serve_bind_sets_host_and_port(layered_config, monkeypatch):
+    seen = fake_serve(monkeypatch)
+    assert main(["serve", "--config", layered_config, "--bind", ":7001"]) == 0
+    assert (seen[0].host, seen[0].port) == ("127.0.0.1", 7001)
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ([], {"pipelines_per_server": 3, "epochs": 2, "seed_base": 42}),
+    (["--set", "pipeline.seed=6"], {"pipelines_per_server": 3, "epochs": 2,
+                                    "seed_base": 6}),
+    (["--set", "pipeline.seed=6", "--pipelines", "1", "--epochs", "1", "--seed", "0"],
+     {"pipelines_per_server": 1, "epochs": 1, "seed_base": 0}),
+])
+def test_launch_takes_server_fields_from_config(extra, expected, layered_config,
+                                                monkeypatch, capsys):
+    calls = []
+
+    def fake_launch(n, config, **kwargs):
+        calls.append((n, kwargs))
+        return []
+
+    monkeypatch.setattr(esf.server, "launch_servers", fake_launch)
+    assert main(["launch", "--config", layered_config, "--servers", "2", *extra]) == 0
+    assert calls == [(2, expected)]
+
+
+def test_launch_defaults_are_the_config_defaults(monkeypatch, capsys):
+    monkeypatch.delenv("ESF_CONFIG", raising=False)
+    calls = []
+    monkeypatch.setattr(esf.server, "launch_servers",
+                        lambda n, config, **kwargs: calls.append(kwargs) or [])
+    assert main(["launch", "--servers", "1"]) == 0
+    assert calls == [{"pipelines_per_server": 1, "epochs": 1, "seed_base": 0}]
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ([], ([2], 3, 0.5, 2, 7)),
+    (["--set", "bench.consumers=4", "--set", "bench.repeats=5"], ([2], 4, 0.5, 5, 7)),
+    (["--set", "bench.consumers=4", "--servers", "1..3", "--consumers", "1",
+      "--step-cost", "0.0", "--repeats", "1", "--utterances", "9"],
+     ([1, 2, 3], 1, 0.0, 1, 9)),
+])
+def test_bench_precedence_file_then_set_then_flags(extra, expected, layered_config,
+                                                   monkeypatch, capsys):
+    calls = []
+
+    def fake_corpus(out_dir, n, num_shards, **kwargs):
+        calls.append(n)
+        return type("Shards", (), {"shard_paths": []})(), "vocab.txt"
+
+    def fake_bench(servers, consumers, step_cost, cfg, repeats, seed_base):
+        calls.append((servers, consumers, step_cost, repeats))
+        return []
+
+    monkeypatch.setattr(esf.synth, "write_synth_corpus", fake_corpus)
+    monkeypatch.setattr(esf.trainsim, "bench_scaling", fake_bench)
+    assert main(["bench", "--config", layered_config, *extra]) == 0
+    servers, consumers, step_cost, repeats, utterances = expected
+    assert calls == [utterances, (servers, consumers, step_cost, repeats)]
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ([], (0.25, 0.5, 5)),
+    (["--lambda-p", "0.0", "--lambda-lm", "0.125", "--beam", "2"], (0.0, 0.125, 2)),
+])
+def test_decode_flags_beat_the_config(extra, expected, layered_config, monkeypatch,
+                                      capsys):
+    monkeypatch.setenv("ESF_CONFIG", layered_config)
+    assert main(["decode", "--demo", *extra]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["lambda_p"], doc["lambda_lm"], doc["beam_size"]) == expected
 
 
 def test_config_unknown_section_rejected():
