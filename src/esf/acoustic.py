@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .dsp import Waveform
 from .errors import (ConfigurationError, DegenerateGeometryError,
@@ -205,8 +204,30 @@ def apply_rir(w: Waveform, h: ImpulseResponse) -> Waveform:
     if w.sample_rate != h.sample_rate:
         raise ValueError(
             f"sample-rate mismatch: waveform {w.sample_rate}, RIR {h.sample_rate}")
-    out = scipy.signal.fftconvolve(w.samples, h.taps)[:len(w.samples)]
+    x, taps = w.samples, h.taps
+    if len(x) == 1 or len(taps) == 1:
+        out = (x * taps)[:len(x)]  # no transform, as fftconvolve does
+    else:
+        n = _next_fast_len(len(x) + len(taps) - 1)
+        out = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(taps, n), n)[:len(x)]
     return Waveform(out, w.sample_rate)
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 5-smooth number (2^a 3^b 5^c) at or above target: the FFT
+    length scipy.signal.fftconvolve picks for a real transform."""
+    best = 2 ** (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two that lifts p35 to the target
+            quotient = -(-target // p35)
+            n = p35 * 2 ** (quotient - 1).bit_length()
+            best = min(best, n)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def estimate_t60(h: ImpulseResponse,

@@ -124,7 +124,13 @@ def build_parser() -> Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("decode", help="shallow-fusion beam search over toy scorers")
+    p = sub.add_parser(
+        "decode", help="shallow-fusion beam search over toy scorers",
+        description="Shallow-fusion beam search over toy scorers. decode takes no "
+        "--config or --set, but it reads the config file named by $ESF_CONFIG, "
+        "when that is set: the fusion keys lambda_prior, lambda_lm, beam_size "
+        "and max_len give the defaults of --lambda-p, --lambda-lm, --beam and "
+        "--max-len, and an unknown section or key in that file is an error.")
     p.add_argument("--am", help="table acoustic scorer JSON")
     p.add_argument("--lm", help="bigram language model JSON")
     p.add_argument("--prior", help="prior JSON (list of log-probs); default uniform")

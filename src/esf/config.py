@@ -136,7 +136,11 @@ def _convert(default, value):
 def _build(cfg: dict, section: str, **nested):
     """The section's dataclass from its keys, or None if it is disabled."""
     values = cfg[section]
-    if not values.get("enabled", True):
+    enabled = values.get("enabled", True)
+    if not isinstance(enabled, bool):
+        raise ConfigurationError(
+            f"{section}.enabled must be true or false, got {enabled!r}")
+    if not enabled:
         return None
     kwargs = {}
     for key, default in _keys(section):

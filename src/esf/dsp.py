@@ -14,7 +14,6 @@ import wave as _wave
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
@@ -229,6 +228,8 @@ def power_mel_features(e: FeatureMatrix) -> FeatureMatrix:
 
 def mfcc(e: FeatureMatrix, num_ceps: int = 13) -> FeatureMatrix:
     """Log of floored mel energies followed by an orthonormal type-II DCT."""
+    import scipy.fft  # here, not at the top, to keep scipy off the server's imports
+
     values = np.asarray(e.values if isinstance(e, FeatureMatrix) else e, dtype=np.float64)
     if num_ceps > values.shape[1]:
         raise ValueError(

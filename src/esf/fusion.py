@@ -64,7 +64,7 @@ class PriorModel:
         self.log_probs = np.asarray(self.log_probs, dtype=np.float64)
         if not np.all(np.isfinite(self.log_probs)):
             raise ValueError("prior log-probabilities must be finite")
-        lse = _logsumexp(self.log_probs)
+        lse = float(_logsumexp_rows(self.log_probs[None])[0])
         if abs(lse) > NORMALIZATION_TOL:
             raise ValueError(f"prior is not normalized (logsumexp={lse:.2e})")
 
@@ -72,9 +72,12 @@ class PriorModel:
         return len(self.log_probs)
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + math.log(float(np.sum(np.exp(x - m))))
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """logsumexp of each row of a 2-D array; NaN for a row that is all -inf
+    or holds NaN or +inf."""
+    m = x.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        return m + np.log(np.exp(x - m[:, None]).sum(axis=1))
 
 
 def estimate_prior(corpus: Iterable[Sequence[int]], vocab_size: int,
@@ -109,17 +112,28 @@ def fused_step(am_logp: np.ndarray, lm_logp: np.ndarray, prior: PriorModel,
     return am - weights.lambda_prior * prior.log_probs + weights.lambda_lm * lm
 
 
-def _checked(scorer: StepScorer, prefix: tuple[int, ...], context,
-             vocab_size: int) -> np.ndarray:
-    vec = np.asarray(scorer.log_probs(prefix, context), dtype=np.float64)
-    if vec.shape != (vocab_size,):
+def _checked_rows(scorer: StepScorer, prefixes: Sequence[tuple[int, ...]],
+                  context, vocab_size: int) -> np.ndarray:
+    """One scorer call per prefix, stacked into a (len(prefixes), V) array.
+
+    Every row must have shape (V,) and a logsumexp within NORMALIZATION_TOL
+    of 0. A row that is all -inf, or holds NaN or +inf, has a non-finite
+    logsumexp and fails too; -inf entries in an otherwise normalized row
+    are legal.
+    """
+    rows = [np.asarray(scorer.log_probs(p, context), dtype=np.float64)
+            for p in prefixes]
+    for row in rows:
+        if row.shape != (vocab_size,):
+            raise ScorerContractError(
+                f"scorer returned shape {row.shape}, expected ({vocab_size},)")
+    stacked = np.array(rows)
+    lse = _logsumexp_rows(stacked)
+    bad = ~(np.abs(lse) <= NORMALIZATION_TOL)  # NaN compares False
+    if bad.any():
         raise ScorerContractError(
-            f"scorer returned shape {vec.shape}, expected ({vocab_size},)")
-    lse = _logsumexp(vec)
-    if abs(lse) > NORMALIZATION_TOL:
-        raise ScorerContractError(
-            f"scorer output is not normalized (logsumexp={lse:.2e})")
-    return vec
+            f"scorer output is not normalized (logsumexp={lse[bad][0]:.2e})")
+    return stacked
 
 
 def _better(a: Hypothesis, b: Hypothesis | None) -> bool:
@@ -140,32 +154,44 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     collected; the best finished hypothesis wins, falling back to the best
     live hypothesis at max_len. Ties break toward the lexicographically
     smaller token sequence.
+
+    Each step scores every (live hypothesis, token) candidate in one (H, V)
+    array, live score plus fused step, and keeps the first beam_size in
+    (-score, tokens) order. The live hypotheses all have the same length and
+    are kept in token order, so a candidate's flat index h * V + v is its
+    rank in token order, and a stable argsort of -score gives the exact
+    order with no tuple comparisons.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     vocab_size = len(prior)
-    live = [Hypothesis((SOS_ID,), 0.0, False)]
+    live = [(SOS_ID,)]  # token sequences, in token order
+    scores = np.zeros(1)
     finished: list[Hypothesis] = []
     for _ in range(max_len):
         if not live:
             break
-        candidates: list[Hypothesis] = []
-        for hyp in live:
-            fused = fused_step(_checked(am, hyp.tokens, context, vocab_size),
-                               _checked(lm, hyp.tokens, context, vocab_size),
-                               prior, weights)
-            for v in range(vocab_size):
-                candidates.append(Hypothesis(hyp.tokens + (v,),
-                                             hyp.score + float(fused[v]),
-                                             v == eos_id))
-        candidates.sort(key=lambda h: (-h.score, h.tokens))
-        kept = candidates[:beam_size]
-        live = [h for h in kept if not h.finished]
-        finished.extend(h for h in kept if h.finished)
+        am_rows = _checked_rows(am, live, context, vocab_size)
+        lm_rows = _checked_rows(lm, live, context, vocab_size)
+        fused = np.array([fused_step(a, b, prior, weights)
+                          for a, b in zip(am_rows, lm_rows)])
+        cand = (scores[:, None] + fused).ravel()
+        kept = np.argsort(-cand, kind="stable")[:beam_size].tolist()
+        live_idx = []
+        for i in kept:
+            parent, v = divmod(i, vocab_size)
+            if v == eos_id:
+                finished.append(Hypothesis(live[parent] + (v,), float(cand[i]), True))
+            else:
+                live_idx.append(i)
+        live_idx.sort()  # back to token order
+        live = [live[i // vocab_size] + (i % vocab_size,) for i in live_idx]
+        scores = cand[live_idx]
+    pool = finished or [Hypothesis(t, float(s), False) for t, s in zip(live, scores)]
     best = None
-    for h in finished if finished else live:
+    for h in pool:
         if _better(h, best):
             best = h
     return best
@@ -193,8 +219,8 @@ def exhaustive_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
         if depth == max_len:
             deepest.append(hyp)
             return
-        fused = fused_step(_checked(am, hyp.tokens, context, vocab_size),
-                           _checked(lm, hyp.tokens, context, vocab_size),
+        fused = fused_step(_checked_rows(am, [hyp.tokens], context, vocab_size)[0],
+                           _checked_rows(lm, [hyp.tokens], context, vocab_size)[0],
                            prior, weights)
         for v in range(vocab_size):
             expand(Hypothesis(hyp.tokens + (v,), hyp.score + float(fused[v]),

@@ -212,6 +212,29 @@ def test_apply_rir_matches_naive_convolution():
     np.testing.assert_allclose(out.samples, naive, atol=1e-10)
 
 
+def test_apply_rir_bit_identical_to_fftconvolve():
+    import scipy.signal
+
+    rng = np.random.default_rng(9)
+    lengths = [(1, 1), (1, 7), (7, 1), (2, 2), (5, 3), (3, 5), (31, 17)]
+    lengths += [(int(rng.integers(1, 40000)), int(rng.integers(1, 8000)))
+                for _ in range(40)]
+    for n, m in lengths:
+        w = Waveform(rng.standard_normal(n), 16000)
+        h = acoustic.ImpulseResponse(rng.standard_normal(m), 16000)
+        want = scipy.signal.fftconvolve(w.samples, h.taps)[:n]
+        got = acoustic.apply_rir(w, h).samples
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, m)
+
+
+def test_next_fast_len_is_scipys_real_choice():
+    import scipy.fft
+
+    for n in [*range(1, 3000), 47999, 96001, 2 ** 20 + 1, 3 ** 12 + 1]:
+        assert acoustic._next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
+
+
 def test_apply_rir_rejects_rate_mismatch():
     w = Waveform(np.zeros(10), 16000)
     with pytest.raises(ValueError):

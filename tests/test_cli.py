@@ -25,6 +25,26 @@ SUBCOMMANDS = ["shard", "inspect", "augment", "features", "pipeline-dryrun",
                "serve", "launch", "consume", "bench", "decode"]
 
 
+def test_server_and_cli_import_without_scipy():
+    # a fresh process: only MFCC (esf features --kind mfcc) loads scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(esf.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, esf.server, esf.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_decode_help_names_esf_config(capsys):
+    with pytest.raises(SystemExit):
+        main(["decode", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "$ESF_CONFIG" in text
+    for key in ("lambda_prior", "lambda_lm", "beam_size", "max_len"):
+        assert key in text
+
+
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_every_subcommand_has_help(sub, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -202,6 +222,7 @@ def test_set_flag_overrides_any_field(dryrun_config, capsys):
     (["pipeline-dryrun", "--set", "pipeline.batch_size=abc"], "pipeline.batch_size"),
     (["pipeline-dryrun", "--set", "acoustic.t60_range=0.5"], "acoustic.t60_range"),
     (["launch", "--servers", "1", "--set", "server.epochs=x"], "server.epochs"),
+    (["pipeline-dryrun", "--set", "vtlp.enabled=False"], "vtlp.enabled"),
 ])
 def test_config_value_errors_are_usage_errors(argv, key, monkeypatch, capsys):
     monkeypatch.delenv("ESF_CONFIG", raising=False)

@@ -191,3 +191,24 @@ def test_server_config_range_errors_are_configuration_errors():
     for key, value in [("num_pipelines", 0), ("epochs", 0), ("server_index", 1)]:
         with pytest.raises(ConfigurationError, match=key):
             cfgmod.server_config(merge_config({"server": {key: value}}))
+
+
+@pytest.mark.parametrize("section, value", [
+    ("vtlp", "False"), ("vtlp", "true"), ("vtlp", 0), ("acoustic", 1),
+    ("acoustic", None), ("acoustic", "no"),
+])
+def test_enabled_must_be_a_json_boolean(section, value):
+    build = {"vtlp": cfgmod.warp_spec, "acoustic": cfgmod.simulator_config}[section]
+    cfg = merge_config({section: {"enabled": value}})
+    with pytest.raises(ConfigurationError, match=f"{section}.enabled"):
+        build(cfg)
+    with pytest.raises(ConfigurationError, match=f"{section}.enabled"):
+        cfgmod.server_config(cfg)
+
+
+def test_set_enabled_capital_false_is_rejected(monkeypatch):
+    # "False" is not JSON, so --set stored the truthy string and VTLP stayed on
+    monkeypatch.delenv("ESF_CONFIG", raising=False)
+    with pytest.raises(ConfigurationError, match="vtlp.enabled"):
+        cfgmod.warp_spec(cfgmod.load_config(None, ["vtlp.enabled=False"]))
+    assert cfgmod.warp_spec(cfgmod.load_config(None, ["vtlp.enabled=false"])) is None

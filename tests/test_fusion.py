@@ -326,3 +326,160 @@ def test_hypothesis_tokens_begin_with_sos():
     am, lm, prior = random_instance(rng)
     best = beam_search(am, lm, prior, FusionWeights(), 4, 4, eos_id=3)
     assert best.tokens[0] == fusion.SOS_ID
+
+
+def object_sort_search(am, lm, prior, weights, beam_size, max_len, eos_id,
+                       context=None):
+    """The object-sort loop beam_search replaced: every candidate a Hypothesis,
+    one keyed sort per step. Kept as the oracle of the array step."""
+    vocab_size = len(prior)
+    live = [fusion.Hypothesis((fusion.SOS_ID,), 0.0, False)]
+    finished = []
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = []
+        for hyp in live:
+            fused = fused_step(am.log_probs(hyp.tokens, context),
+                               lm.log_probs(hyp.tokens, context), prior, weights)
+            for v in range(vocab_size):
+                candidates.append(fusion.Hypothesis(hyp.tokens + (v,),
+                                                    hyp.score + float(fused[v]),
+                                                    v == eos_id))
+        candidates.sort(key=lambda h: (-h.score, h.tokens))
+        kept = candidates[:beam_size]
+        live = [h for h in kept if not h.finished]
+        finished.extend(h for h in kept if h.finished)
+    return min(finished or live, key=lambda h: (-h.score, h.tokens))
+
+
+def assert_same_hypothesis(got, want):
+    assert got.tokens == want.tokens
+    assert got.finished == want.finished
+    assert (np.float64(got.score).view(np.uint64)
+            == np.float64(want.score).view(np.uint64))
+
+
+class SeededScorer:
+    """A normalized row per prefix from a generator seeded by the prefix.
+
+    With tied=False rows are random with about a share p_inf of -inf entries
+    (never all). With tied=True each row is uniform over a random 2^k of the
+    tokens, -k*log 2 there and -inf elsewhere, so exact score ties between
+    different hypotheses are common.
+    """
+
+    def __init__(self, seed, vocab, p_inf=0.3, tied=False):
+        self.seed, self.vocab, self.p_inf, self.tied = seed, vocab, p_inf, tied
+
+    def log_probs(self, prefix, context):
+        rng = np.random.default_rng([self.seed, *(t + 1 for t in prefix)])
+        if self.tied:
+            k = int(rng.integers(0, int(math.log2(self.vocab)) + 1))
+            row = np.full(self.vocab, -np.inf)
+            row[rng.permutation(self.vocab)[:2 ** k]] = -k * math.log(2.0)
+            return row
+        row = rng.standard_normal(self.vocab) * 2.0
+        off = rng.random(self.vocab) < self.p_inf
+        off[rng.integers(self.vocab)] = False
+        row[off] = -np.inf
+        return row - np.log(np.sum(np.exp(row)))
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_beam_search_matches_object_sort_oracle(tied):
+    rng = np.random.default_rng(20 + tied)
+    for trial in range(150):
+        vocab = int(rng.integers(2, 9))
+        eos = int(rng.integers(vocab))
+        max_len = int(rng.integers(1, 7))
+        beam = int(rng.choice([1, 2, 3, vocab - 1, vocab, vocab + 3, 4 * vocab]))
+        beam = max(beam, 1)
+        am = SeededScorer(3 * trial, vocab, tied=tied)
+        lm = SeededScorer(3 * trial + 1, vocab, tied=tied)
+        prior = (uniform_prior(vocab) if tied
+                 else PriorModel(normalized_rows(rng, vocab)))
+        w = (FusionWeights(0.0, float(rng.choice([0.5, 1.0, 2.0]))) if tied
+             else FusionWeights(float(rng.uniform(0, 0.5)), float(rng.uniform(0.1, 1.0))))
+        want = object_sort_search(am, lm, prior, w, beam, max_len, eos)
+        got = beam_search(am, lm, prior, w, beam, max_len, eos)
+        assert_same_hypothesis(got, want)
+
+
+def test_beam_search_edge_shapes_match_object_sort_oracle():
+    rng = np.random.default_rng(22)
+    am, lm, prior = random_instance(rng, vocab=4, max_len=4)
+    w = FusionWeights(0.005, 0.45)
+    for beam, max_len in [(1, 1), (1, 4), (4, 1), (4, 4), (7, 1), (7, 4), (300, 4)]:
+        want = object_sort_search(am, lm, prior, w, beam, max_len, 3)
+        assert_same_hypothesis(beam_search(am, lm, prior, w, beam, max_len, 3), want)
+    # eos never taken: the best live hypothesis at max_len is returned
+    want = object_sort_search(am, lm, prior, w, 3, 3, eos_id=7)
+    got = beam_search(am, lm, prior, w, 3, 3, eos_id=7)
+    assert not got.finished
+    assert_same_hypothesis(got, want)
+
+
+def test_tie_at_the_beam_cut_goes_to_the_smaller_tokens():
+    # Step 1 keeps (1) at -log 2 above (0) at -2 log 2: the live hypothesis
+    # with the higher score has the larger tokens. Step 2 puts (1, 2) first
+    # and ties (1, 0), (1, 1) and (0, 0) at -3 log 2 for the one slot left;
+    # (0, 0) must win. A stable argsort over the live hypotheses in score
+    # order would keep (1, 0).
+    half, quarter = math.log(0.5), math.log(0.25)
+    am = TableAcousticScorer(3, {"": [quarter, half, quarter],
+                                 "1": [quarter, quarter, half],
+                                 "0": [half, quarter, quarter]})
+    seen = []
+
+    class Recording:
+        def log_probs(self, prefix, context):
+            seen.append(prefix)
+            return am.log_probs(prefix, context)
+
+    assert half + quarter == quarter + half  # the three-way tie is exact
+    lm = BigramLanguageScorer([-math.log(3)] * 3, [[-math.log(3)] * 3] * 3)
+    w = FusionWeights(0.0, 0.0)
+    got = beam_search(Recording(), lm, uniform_prior(3), w, 2, 3, eos_id=2)
+    step3 = [p for p in seen if len(p) == 3]
+    assert step3 == [(fusion.SOS_ID, 0, 0)]
+    want = object_sort_search(am, lm, uniform_prior(3), w, 2, 3, eos_id=2)
+    assert_same_hypothesis(got, want)
+    assert got.tokens == (fusion.SOS_ID, 1, 2)
+
+
+class Fixed:
+    def __init__(self, row):
+        self.row = np.array(row, dtype=np.float64)
+
+    def log_probs(self, prefix, context):
+        return self.row
+
+
+@pytest.mark.parametrize("row", [
+    [np.nan, np.nan, np.nan],
+    [-np.inf, -np.inf, -np.inf],
+    [np.inf, -np.inf, -np.inf],
+    [np.inf, 0.0, -1.0],
+    [0.0, np.nan, -np.inf],
+], ids=["all-nan", "all-neg-inf", "pos-inf", "pos-inf-finite", "nan-entry"])
+@pytest.mark.parametrize("which", ["am", "lm"])
+def test_non_finite_scorer_output_breaks_the_contract(row, which):
+    good = Fixed([-math.log(3)] * 3)
+    bad = Fixed(row)
+    am, lm = (bad, good) if which == "am" else (good, bad)
+    w = FusionWeights(0.0, 0.5)
+    with pytest.raises(ScorerContractError):
+        beam_search(am, lm, uniform_prior(3), w, 2, 2, eos_id=2)
+    with pytest.raises(ScorerContractError):
+        exhaustive_search(am, lm, uniform_prior(3), w, 2, eos_id=2)
+
+
+def test_neg_inf_entries_in_a_normalized_row_are_legal():
+    row = Fixed([math.log(0.5), -np.inf, math.log(0.5)])  # token 1 impossible
+    w = FusionWeights(0.0, 0.5)
+    best = beam_search(row, row, uniform_prior(3), w, 2, 2, eos_id=2)
+    oracle = exhaustive_search(row, row, uniform_prior(3), w, 2, eos_id=2)
+    assert best == oracle
+    assert best.tokens == (fusion.SOS_ID, 2)
+    assert best.score == 1.5 * math.log(0.5)
