@@ -296,9 +296,8 @@ def cmd_launch(args) -> int:
     from .server import launch_servers
 
     cfg = config_from_args(args)
-    scfg = cfgmod.server_config(cfg)  # a bad config fails here, not in every server
-    procs = launch_servers(args.servers, cfg, pipelines_per_server=scfg.num_pipelines,
-                           epochs=scfg.epochs, seed_base=scfg.pipeline.seed)
+    cfgmod.server_config(cfg)  # a bad config fails here, not in every server
+    procs = launch_servers(args.servers, cfg)
     for p in procs:
         print(f"{p.index} {p.host}:{p.port}")
     sys.stdout.flush()

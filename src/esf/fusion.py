@@ -13,8 +13,10 @@ make the rule testable without a trained network.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
@@ -82,19 +84,27 @@ def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
 
 def estimate_prior(corpus: Iterable[Sequence[int]], vocab_size: int,
                    smoothing: float = 1.0) -> PriorModel:
-    """Smoothed unigram prior: log((count_v + s) / (N + s*V))."""
+    """Smoothed unigram prior: log((count_v + s) / (N + s*V)).
+
+    Token ids must be integers (operator.index) in [0, vocab_size); a float
+    id is refused, not truncated.
+    """
     if vocab_size < 1:
         raise ValueError("vocabulary must be non-empty")
     if smoothing <= 0:
         raise ValueError("smoothing must be positive")
-    counts = np.zeros(vocab_size, dtype=np.float64)
-    total = 0
-    for seq in corpus:
-        for tok in seq:
-            if not (0 <= tok < vocab_size):
-                raise ValueError(f"token id {tok} outside vocabulary of {vocab_size}")
-            counts[tok] += 1
-            total += 1
+    try:
+        ids = np.fromiter(map(operator.index, itertools.chain.from_iterable(corpus)),
+                          np.int64)
+    except TypeError as exc:
+        raise ValueError(f"token ids must be integers: {exc}") from None
+    except OverflowError:
+        raise ValueError(f"a token id is outside vocabulary of {vocab_size}") from None
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise ValueError(f"token ids {ids.min()}..{ids.max()} outside vocabulary "
+                         f"of {vocab_size}")
+    counts = np.bincount(ids, minlength=vocab_size)
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("corpus contains no tokens")
     return PriorModel(np.log((counts + smoothing) / (total + smoothing * vocab_size)))
@@ -102,47 +112,67 @@ def estimate_prior(corpus: Iterable[Sequence[int]], vocab_size: int,
 
 def fused_step(am_logp: np.ndarray, lm_logp: np.ndarray, prior: PriorModel,
                weights: FusionWeights) -> np.ndarray:
-    """One step of the fusion rule (unnormalized combination)."""
+    """One step of the fusion rule (unnormalized combination).
+
+    am_logp and lm_logp are (..., V) arrays of the same shape, V the prior's
+    length; every element is the same float64 expression as for one row. A
+    zero LM weight drops the LM term, so an LM -inf cannot become
+    0 * -inf = NaN; the prior is finite, so its term never does.
+    """
     am = np.asarray(am_logp, dtype=np.float64)
     lm = np.asarray(lm_logp, dtype=np.float64)
-    if am.shape != lm.shape or am.shape != prior.log_probs.shape:
+    if am.shape != lm.shape or am.shape[-1:] != prior.log_probs.shape:
         raise ValueError(
             f"vector lengths differ: am {am.shape}, lm {lm.shape}, "
             f"prior {prior.log_probs.shape}")
-    return am - weights.lambda_prior * prior.log_probs + weights.lambda_lm * lm
+    fused = am - weights.lambda_prior * prior.log_probs
+    if weights.lambda_lm:
+        fused += weights.lambda_lm * lm
+    return fused
 
 
-def _checked_rows(scorer: StepScorer, prefixes: Sequence[tuple[int, ...]],
-                  context, vocab_size: int) -> np.ndarray:
-    """One scorer call per prefix, stacked into a (len(prefixes), V) array.
+def _scored_rows(am: StepScorer, lm: StepScorer,
+                 prefixes: Sequence[tuple[int, ...]], context,
+                 vocab_size: int) -> np.ndarray:
+    """AM rows then LM rows for the prefixes, stacked into a (2H, V) array.
 
-    Every row must have shape (V,) and a logsumexp within NORMALIZATION_TOL
-    of 0. A row that is all -inf, or holds NaN or +inf, has a non-finite
-    logsumexp and fails too; -inf entries in an otherwise normalized row
-    are legal.
+    Each scorer is called once per prefix, in order. Every row must have
+    shape (V,) and a logsumexp within NORMALIZATION_TOL of 0. A row that is
+    all -inf, or holds NaN or +inf, has a non-finite logsumexp and fails
+    too; -inf entries in an otherwise normalized row are legal. A failure
+    raises ScorerContractError naming the scorer.
     """
-    rows = [np.asarray(scorer.log_probs(p, context), dtype=np.float64)
-            for p in prefixes]
-    for row in rows:
-        if row.shape != (vocab_size,):
-            raise ScorerContractError(
-                f"scorer returned shape {row.shape}, expected ({vocab_size},)")
-    stacked = np.array(rows)
+    rows = [am.log_probs(p, context) for p in prefixes]
+    rows += [lm.log_probs(p, context) for p in prefixes]
+
+    def broke(i: int) -> str:
+        return "acoustic scorer" if i < len(prefixes) else "language model scorer"
+
+    try:
+        stacked = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        stacked = None
+    if stacked is None or stacked.shape != (len(rows), vocab_size):
+        for i, row in enumerate(rows):  # find the first bad row
+            try:
+                shape = np.asarray(row, dtype=np.float64).shape
+            except (TypeError, ValueError) as exc:
+                raise ScorerContractError(f"{broke(i)} returned a non-numeric row: {exc}")
+            if shape != (vocab_size,):
+                raise ScorerContractError(
+                    f"{broke(i)} returned shape {shape}, expected ({vocab_size},)")
     lse = _logsumexp_rows(stacked)
     bad = ~(np.abs(lse) <= NORMALIZATION_TOL)  # NaN compares False
     if bad.any():
+        i = int(bad.argmax())
         raise ScorerContractError(
-            f"scorer output is not normalized (logsumexp={lse[bad][0]:.2e})")
+            f"{broke(i)} output is not normalized (logsumexp={lse[i]:.2e})")
     return stacked
 
 
-def _better(a: Hypothesis, b: Hypothesis | None) -> bool:
+def _best(pool: Iterable[Hypothesis]) -> Hypothesis:
     """Higher score wins; ties go to the lexicographically smaller tokens."""
-    if b is None:
-        return True
-    if a.score != b.score:
-        return a.score > b.score
-    return a.tokens < b.tokens
+    return min(pool, key=lambda h: (-h.score, h.tokens))
 
 
 def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
@@ -155,12 +185,14 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     live hypothesis at max_len. Ties break toward the lexicographically
     smaller token sequence.
 
-    Each step scores every (live hypothesis, token) candidate in one (H, V)
-    array, live score plus fused step, and keeps the first beam_size in
-    (-score, tokens) order. The live hypotheses all have the same length and
-    are kept in token order, so a candidate's flat index h * V + v is its
-    rank in token order, and a stable argsort of -score gives the exact
-    order with no tuple comparisons.
+    Each step is array work over the H live hypotheses: one scorer call per
+    hypothesis and scorer, one contract check over the (2H, V) rows, one
+    fused_step call on the (H, V) rows, and candidates live score plus fused
+    step, of which the first beam_size in (-score, tokens) order are kept.
+    The live hypotheses all have the same length and are kept in token
+    order, so a candidate's flat index h * V + v is its rank in token order,
+    and a stable argsort of -score gives the exact order with no tuple
+    comparisons.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -173,28 +205,23 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     for _ in range(max_len):
         if not live:
             break
-        am_rows = _checked_rows(am, live, context, vocab_size)
-        lm_rows = _checked_rows(lm, live, context, vocab_size)
-        fused = np.array([fused_step(a, b, prior, weights)
-                          for a, b in zip(am_rows, lm_rows)])
+        rows = _scored_rows(am, lm, live, context, vocab_size)
+        fused = fused_step(rows[:len(live)], rows[len(live):], prior, weights)
         cand = (scores[:, None] + fused).ravel()
-        kept = np.argsort(-cand, kind="stable")[:beam_size].tolist()
-        live_idx = []
-        for i in kept:
-            parent, v = divmod(i, vocab_size)
-            if v == eos_id:
-                finished.append(Hypothesis(live[parent] + (v,), float(cand[i]), True))
-            else:
-                live_idx.append(i)
-        live_idx.sort()  # back to token order
-        live = [live[i // vocab_size] + (i % vocab_size,) for i in live_idx]
-        scores = cand[live_idx]
-    pool = finished or [Hypothesis(t, float(s), False) for t, s in zip(live, scores)]
-    best = None
-    for h in pool:
-        if _better(h, best):
-            best = h
-    return best
+        kept = np.argsort(-cand, kind="stable")[:beam_size]
+        parents, tokens = np.divmod(kept, vocab_size)
+        done = tokens == eos_id
+        finished.extend(Hypothesis(live[h] + (eos_id,), s, True)
+                        for h, s in zip(parents[done].tolist(), cand[kept[done]].tolist()))
+        keep = np.sort(kept[~done])  # back to token order
+        parents, tokens = np.divmod(keep, vocab_size)
+        live = [live[h] + (v,) for h, v in zip(parents.tolist(), tokens.tolist())]
+        scores = cand[keep]
+    if finished:
+        return _best(finished)
+    # live is in token order, so the first best score has the smallest tokens
+    h = int(np.argmax(scores))
+    return Hypothesis(live[h], float(scores[h]), False)
 
 
 def exhaustive_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
@@ -219,19 +246,14 @@ def exhaustive_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
         if depth == max_len:
             deepest.append(hyp)
             return
-        fused = fused_step(_checked_rows(am, [hyp.tokens], context, vocab_size)[0],
-                           _checked_rows(lm, [hyp.tokens], context, vocab_size)[0],
-                           prior, weights)
+        am_row, lm_row = _scored_rows(am, lm, [hyp.tokens], context, vocab_size)
+        fused = fused_step(am_row, lm_row, prior, weights)
         for v in range(vocab_size):
             expand(Hypothesis(hyp.tokens + (v,), hyp.score + float(fused[v]),
                               v == eos_id), depth + 1)
 
     expand(Hypothesis((SOS_ID,), 0.0, False), 0)
-    best = None
-    for h in finished if finished else deepest:
-        if _better(h, best):
-            best = h
-    return best
+    return _best(finished or deepest)
 
 
 class TableAcousticScorer:

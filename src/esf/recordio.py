@@ -10,6 +10,7 @@ readers skip unknown tags.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CorruptionError, FormatError, TruncationError
-from .util import crc32c, tlv_iter, tlv_pack
+from .util import crc32c, tlv_iter, tlv_pack, tlv_struct, tlv_text
 
 MAGIC = b"ESRD"
 VERSION = 1
@@ -30,6 +31,7 @@ TAG_TRANSCRIPT = 4
 TAG_METADATA = 5
 
 PCM_SCALE = 32768.0
+_SAMPLE_RATE = struct.Struct("<I")
 
 
 @dataclass
@@ -76,7 +78,7 @@ class ShardSet:
 def encode_record(rec: UtteranceRecord) -> bytes:
     parts = [
         tlv_pack(TAG_UTT_ID, rec.utt_id.encode("utf-8")),
-        tlv_pack(TAG_SAMPLE_RATE, struct.pack("<I", rec.sample_rate)),
+        tlv_pack(TAG_SAMPLE_RATE, _SAMPLE_RATE.pack(rec.sample_rate)),
         tlv_pack(TAG_SAMPLES, rec.samples.astype("<i2").tobytes()),
         tlv_pack(TAG_TRANSCRIPT, rec.transcript.encode("utf-8")),
     ]
@@ -88,6 +90,7 @@ def encode_record(rec: UtteranceRecord) -> bytes:
 
 
 def decode_record(payload: bytes) -> UtteranceRecord:
+    """Parse a record payload; any malformed payload raises FormatError."""
     utt_id = None
     sample_rate = None
     samples = np.zeros(0, dtype=np.int16)
@@ -95,29 +98,30 @@ def decode_record(payload: bytes) -> UtteranceRecord:
     metadata: list[tuple[str, str]] = []
     for tag, value in tlv_iter(payload):
         if tag == TAG_UTT_ID:
-            utt_id = value.decode("utf-8")
+            utt_id = tlv_text(value, "utt_id")
         elif tag == TAG_SAMPLE_RATE:
-            if len(value) != 4:
-                raise FormatError("sample_rate field must be 4 bytes")
-            sample_rate = struct.unpack("<I", value)[0]
+            (sample_rate,) = tlv_struct(_SAMPLE_RATE, value, "sample_rate")
         elif tag == TAG_SAMPLES:
             if len(value) % 2:
                 raise FormatError("PCM field has odd byte length")
             samples = np.frombuffer(value, dtype="<i2").astype(np.int16)
         elif tag == TAG_TRANSCRIPT:
-            transcript = value.decode("utf-8")
+            transcript = tlv_text(value, "transcript")
         elif tag == TAG_METADATA:
             if len(value) < 4:
                 raise FormatError("metadata field too short")
             klen = struct.unpack_from("<I", value)[0]
             if 4 + klen > len(value):
                 raise FormatError("metadata key overruns field")
-            metadata.append((value[4:4 + klen].decode("utf-8"),
-                             value[4 + klen:].decode("utf-8")))
+            metadata.append((tlv_text(value[4:4 + klen], "metadata key"),
+                             tlv_text(value[4 + klen:], "metadata value")))
         # unknown tags are skipped for forward compatibility
     if utt_id is None or sample_rate is None:
         raise FormatError("record payload missing utt_id or sample_rate")
-    return UtteranceRecord(utt_id, sample_rate, samples, transcript, metadata)
+    try:
+        return UtteranceRecord(utt_id, sample_rate, samples, transcript, metadata)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def write_frame(fh, payload: bytes) -> None:
@@ -165,10 +169,12 @@ def read_shard(path: str) -> Iterator[UtteranceRecord]:
     """Yield records from one shard in file order, verifying both CRCs.
 
     Raises CorruptionError (with byte offset) on a CRC mismatch,
-    TruncationError on a frame cut short, FormatError on a bad header.
-    Records before the damage are still yielded.
+    TruncationError on a frame cut short or a length past the end of the
+    file, FormatError on a bad header or record. Records before the damage
+    are still yielded.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         header = fh.read(5)
         if len(header) < 5 or header[:4] != MAGIC:
             raise FormatError(f"{path}: not a shard file (bad magic)")
@@ -188,9 +194,9 @@ def read_shard(path: str) -> Iterator[UtteranceRecord]:
                 raise CorruptionError(
                     f"{path}: length CRC mismatch at byte {offset}", offset=offset)
             (length,) = struct.unpack("<Q", length_bytes)
-            payload = fh.read(length)
-            if len(payload) < length:
+            if length > size - fh.tell():  # before reading: length may be huge
                 raise TruncationError(f"{path}: truncated payload at byte {offset}")
+            payload = fh.read(length)
             stored = fh.read(4)
             if len(stored) < 4:
                 raise TruncationError(f"{path}: truncated payload CRC at byte {offset}")

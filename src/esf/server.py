@@ -330,31 +330,25 @@ class ServerProcess:
         return code
 
 
-def launch_servers(n: int, config: dict, *, pipelines_per_server=1,
-                   epochs: int = 1, seed_base: int = 0,
+def launch_servers(n: int, config: dict, *,
                    startup_timeout: float = 60.0) -> list[ServerProcess]:
     """Spawn n server processes over disjoint shard subsets.
 
-    config is a GlobalConfig-style dict (see esf.config). Server j gets shards
-    {i : i mod n == j}, seed seed_base + j, and an OS-assigned port announced
-    on its stdout as "LISTENING host:port".
+    config is a GlobalConfig-style dict (see esf.config); its
+    server.num_pipelines and server.epochs apply to every server. Server j
+    gets shards {i : i mod n == j}, seed pipeline.seed + j, and an
+    OS-assigned port announced on its stdout as "LISTENING host:port".
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(pipelines_per_server, int):
-        pipelines = [pipelines_per_server] * n
-    else:
-        pipelines = list(pipelines_per_server)
-        if len(pipelines) != n:
-            raise ValueError("pipelines_per_server list must have one entry per server")
+    seed = config.get("pipeline", {}).get("seed", 0)
     procs: list[ServerProcess] = []
     try:
         for j in range(n):
             cfg = json.loads(json.dumps(config))  # deep copy
             cfg.setdefault("server", {}).update({
-                "host": "127.0.0.1", "port": 0, "num_pipelines": pipelines[j],
-                "epochs": epochs, "server_index": j, "server_count": n})
-            cfg.setdefault("pipeline", {})["seed"] = seed_base + j
+                "host": "127.0.0.1", "port": 0, "server_index": j, "server_count": n})
+            cfg.setdefault("pipeline", {})["seed"] = seed + j
             with tempfile.NamedTemporaryFile(
                     "w", suffix=f".server{j}.json", delete=False) as fh:
                 json.dump(cfg, fh)

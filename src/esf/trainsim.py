@@ -9,6 +9,7 @@ example servers keep every consumer supplied.
 
 from __future__ import annotations
 
+import copy
 import statistics
 import time
 from dataclasses import dataclass
@@ -184,8 +185,10 @@ def _run_bench_once(servers: int, consumers: int, step_cost: float,
     from .client import connect_consumer
     from .server import launch_servers
 
-    procs = launch_servers(servers, config, pipelines_per_server=consumers,
-                           epochs=1, seed_base=seed_base)
+    config = copy.deepcopy(config)
+    config.setdefault("server", {}).update({"num_pipelines": consumers, "epochs": 1})
+    config.setdefault("pipeline", {})["seed"] = seed_base
+    procs = launch_servers(servers, config)
     stats: list[ThroughputStats | None] = [None] * consumers
     errors: list[Exception] = []
 

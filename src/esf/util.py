@@ -8,6 +8,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import FormatError
+
 # CRC32C, vectorised with numpy. The CRC register is linear over GF(2), so
 # with a zero initial register the CRC of a message is the XOR of one table
 # entry per byte: the CRC of that byte followed by the zero bytes after it.
@@ -108,8 +110,6 @@ def tlv_iter(buf: bytes) -> Iterator[tuple[int, bytes]]:
 
     Raises FormatError on a field that overruns the buffer.
     """
-    from .errors import FormatError
-
     view = memoryview(buf)
     pos = 0
     end = len(view)
@@ -122,3 +122,18 @@ def tlv_iter(buf: bytes) -> Iterator[tuple[int, bytes]]:
             raise FormatError(f"TLV field overruns buffer at byte {pos}")
         yield tag, bytes(view[pos:pos + length])
         pos += length
+
+
+def tlv_text(value: bytes, field: str) -> str:
+    """A TLV field's bytes as UTF-8 text; FormatError if they are not."""
+    try:
+        return value.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{field} field is not UTF-8") from None
+
+
+def tlv_struct(layout: struct.Struct, value: bytes, field: str) -> tuple:
+    """A fixed-size TLV field unpacked; FormatError if its length is wrong."""
+    if len(value) != layout.size:
+        raise FormatError(f"{field} field must be {layout.size} bytes, got {len(value)}")
+    return layout.unpack(value)

@@ -17,13 +17,16 @@ import numpy as np
 
 from .errors import CorruptionError, FormatError, TruncationError
 from .pipeline import Batch
-from .util import crc32c, tlv_iter, tlv_pack
+from .util import crc32c, tlv_iter, tlv_pack, tlv_struct, tlv_text
 
 MAGIC = b"ESRV"
 VERSION = 1
 HEADER_LEN = 10  # magic + version + msg_type + payload_length
 MAX_PAYLOAD = 64 * 1024 * 1024
 _HEADER = struct.Struct("<4sBBI")
+_ORDINAL = struct.Struct("<Q")
+_FEATURE_DIMS = struct.Struct("<III")
+_LABEL_DIMS = struct.Struct("<II")
 _RECV_BYTES = 64 * 1024  # initial receive buffer; grows to the largest frame
 
 
@@ -118,11 +121,11 @@ def encode_batch(batch: Batch) -> bytes:
     b, t, f = batch.features.shape
     lb, ll = batch.labels.shape
     parts = [
-        tlv_pack(TAG_FEATURE_DIMS, struct.pack("<III", b, t, f)),
+        tlv_pack(TAG_FEATURE_DIMS, _FEATURE_DIMS.pack(b, t, f)),
         tlv_pack(TAG_FEATURES, np.ascontiguousarray(batch.features, dtype="<f4").tobytes()),
         tlv_pack(TAG_FEATURE_LENGTHS,
                  np.ascontiguousarray(batch.feature_lengths, dtype="<i4").tobytes()),
-        tlv_pack(TAG_LABEL_DIMS, struct.pack("<II", lb, ll)),
+        tlv_pack(TAG_LABEL_DIMS, _LABEL_DIMS.pack(lb, ll)),
         tlv_pack(TAG_LABELS, np.ascontiguousarray(batch.labels, dtype="<i4").tobytes()),
         tlv_pack(TAG_LABEL_LENGTHS,
                  np.ascontiguousarray(batch.label_lengths, dtype="<i4").tobytes()),
@@ -132,29 +135,38 @@ def encode_batch(batch: Batch) -> bytes:
     return b"".join(parts)
 
 
+def _array32(value: bytes, dtype: str, field: str) -> np.ndarray:
+    if len(value) % 4:
+        raise FormatError(f"{field} field of {len(value)} bytes is not whole 4-byte values")
+    return np.frombuffer(value, dtype=dtype)
+
+
 def decode_batch(payload: bytes) -> tuple[int | None, Batch]:
-    """Parse a batch payload; returns (ordinal or None, batch)."""
+    """Parse a batch payload; returns (ordinal or None, batch).
+
+    Any malformed payload raises FormatError.
+    """
     ordinal = None
     fdims = ldims = None
     features = flens = labels = llens = None
     utt_ids: list[str] = []
     for tag, value in tlv_iter(payload):
         if tag == TAG_ORDINAL:
-            ordinal = struct.unpack("<Q", value)[0]
+            (ordinal,) = tlv_struct(_ORDINAL, value, "ordinal")
         elif tag == TAG_FEATURE_DIMS:
-            fdims = struct.unpack("<III", value)
+            fdims = tlv_struct(_FEATURE_DIMS, value, "feature dims")
         elif tag == TAG_FEATURES:
-            features = np.frombuffer(value, dtype="<f4")
+            features = _array32(value, "<f4", "features")
         elif tag == TAG_FEATURE_LENGTHS:
-            flens = np.frombuffer(value, dtype="<i4")
+            flens = _array32(value, "<i4", "feature lengths")
         elif tag == TAG_LABEL_DIMS:
-            ldims = struct.unpack("<II", value)
+            ldims = tlv_struct(_LABEL_DIMS, value, "label dims")
         elif tag == TAG_LABELS:
-            labels = np.frombuffer(value, dtype="<i4")
+            labels = _array32(value, "<i4", "labels")
         elif tag == TAG_LABEL_LENGTHS:
-            llens = np.frombuffer(value, dtype="<i4")
+            llens = _array32(value, "<i4", "label lengths")
         elif tag == TAG_UTT_ID:
-            utt_ids.append(value.decode("utf-8"))
+            utt_ids.append(tlv_text(value, "utt id"))
     if fdims is None or features is None or flens is None:
         raise FormatError("batch payload missing feature fields")
     if ldims is None or labels is None or llens is None:
@@ -177,7 +189,7 @@ def decode_batch(payload: bytes) -> tuple[int | None, Batch]:
 
 
 def encode_batch_frame(ordinal: int, batch: Batch) -> bytes:
-    payload = tlv_pack(TAG_ORDINAL, struct.pack("<Q", ordinal)) + encode_batch(batch)
+    payload = tlv_pack(TAG_ORDINAL, _ORDINAL.pack(ordinal)) + encode_batch(batch)
     return encode_frame(MsgType.BATCH, payload)
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, reproducibility."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -279,33 +280,73 @@ def test_serve_bind_sets_host_and_port(layered_config, monkeypatch):
     assert (seen[0].host, seen[0].port) == ("127.0.0.1", 7001)
 
 
+def launch_settings(config):
+    return (config["server"]["num_pipelines"], config["server"]["epochs"],
+            config["pipeline"]["seed"])
+
+
 @pytest.mark.parametrize("extra, expected", [
-    ([], {"pipelines_per_server": 3, "epochs": 2, "seed_base": 42}),
-    (["--set", "pipeline.seed=6"], {"pipelines_per_server": 3, "epochs": 2,
-                                    "seed_base": 6}),
+    ([], (3, 2, 42)),
+    (["--set", "pipeline.seed=6"], (3, 2, 6)),
     (["--set", "pipeline.seed=6", "--pipelines", "1", "--epochs", "1", "--seed", "0"],
-     {"pipelines_per_server": 1, "epochs": 1, "seed_base": 0}),
+     (1, 1, 0)),
 ])
 def test_launch_takes_server_fields_from_config(extra, expected, layered_config,
                                                 monkeypatch, capsys):
     calls = []
 
     def fake_launch(n, config, **kwargs):
-        calls.append((n, kwargs))
+        calls.append((n, launch_settings(config), kwargs))
         return []
 
     monkeypatch.setattr(esf.server, "launch_servers", fake_launch)
     assert main(["launch", "--config", layered_config, "--servers", "2", *extra]) == 0
-    assert calls == [(2, expected)]
+    assert calls == [(2, expected, {})]
 
 
 def test_launch_defaults_are_the_config_defaults(monkeypatch, capsys):
     monkeypatch.delenv("ESF_CONFIG", raising=False)
     calls = []
     monkeypatch.setattr(esf.server, "launch_servers",
-                        lambda n, config, **kwargs: calls.append(kwargs) or [])
+                        lambda n, config, **kwargs: calls.append(config) or [])
     assert main(["launch", "--servers", "1"]) == 0
-    assert calls == [{"pipelines_per_server": 1, "epochs": 1, "seed_base": 0}]
+    assert calls == [merge_config(None)]
+    assert launch_settings(calls[0]) == (1, 1, 0)
+
+
+def test_launch_servers_gives_server_j_the_config_seed_plus_j(monkeypatch):
+    seen = []
+
+    class FakeProcess:
+        def __init__(self, argv, **kwargs):
+            with open(argv[-1], encoding="utf-8") as fh:
+                seen.append(json.load(fh))
+            self.stdout = io.StringIO(f"LISTENING 127.0.0.1:{7000 + len(seen)}\n")
+
+    monkeypatch.setattr(esf.server.subprocess, "Popen", FakeProcess)
+    cfg = merge_config({"pipeline": {"seed": 40},
+                        "server": {"num_pipelines": 3, "epochs": 2}})
+    procs = esf.server.launch_servers(2, cfg)
+    assert [p.port for p in procs] == [7001, 7002]
+    assert [launch_settings(c) for c in seen] == [(3, 2, 40), (3, 2, 41)]
+    assert [(c["server"]["server_index"], c["server"]["server_count"])
+            for c in seen] == [(0, 2), (1, 2)]
+    assert launch_settings(cfg) == (3, 2, 40)  # the caller's copy is untouched
+
+
+def test_bench_writes_its_launch_settings_into_the_config(monkeypatch):
+    seen = []
+
+    def fake_launch(n, config, **kwargs):
+        seen.append((n, launch_settings(config), kwargs))
+        raise RuntimeError("stop after launch")
+
+    monkeypatch.setattr(esf.server, "launch_servers", fake_launch)
+    cfg = merge_config({"pipeline": {"seed": 5}, "server": {"num_pipelines": 9}})
+    with pytest.raises(RuntimeError):
+        esf.trainsim._run_bench_once(3, 2, 0.0, cfg, seed_base=1000)
+    assert seen == [(3, (2, 1, 1000), {})]
+    assert launch_settings(cfg) == (9, 1, 5)
 
 
 @pytest.mark.parametrize("extra, expected", [

@@ -483,3 +483,184 @@ def test_neg_inf_entries_in_a_normalized_row_are_legal():
     assert best == oracle
     assert best.tokens == (fusion.SOS_ID, 2)
     assert best.score == 1.5 * math.log(0.5)
+
+
+def loop_prior(corpus, vocab_size, smoothing=1.0):
+    """The per-token counting loop estimate_prior replaced, as its oracle."""
+    counts = np.zeros(vocab_size, dtype=np.float64)
+    total = 0
+    for seq in corpus:
+        for tok in seq:
+            counts[tok] += 1
+            total += 1
+    return np.log((counts + smoothing) / (total + smoothing * vocab_size))
+
+
+def test_estimate_prior_is_bit_identical_to_the_counting_loop():
+    rng = np.random.default_rng(30)
+    for trial in range(40):
+        vocab = int(rng.integers(1, 70))
+        corpus = [rng.integers(0, vocab, int(rng.integers(0, 30))).tolist()
+                  for _ in range(int(rng.integers(1, 200)))]
+        smoothing = float(rng.choice([1.0, 0.5, 1e-3, 7.25]))
+        got = estimate_prior(corpus, vocab, smoothing).log_probs
+        want = loop_prior(corpus, vocab, smoothing)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_estimate_prior_takes_any_iterable_of_sequences():
+    corpus = [[0, 1], (2, 2), np.array([1, 0, 3]), [np.uint8(3)]]
+    want = estimate_prior(corpus, 4).log_probs
+    got = estimate_prior((seq for seq in corpus), 4).log_probs
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(
+        want.view(np.uint64), loop_prior(corpus, 4).view(np.uint64))
+
+
+@pytest.mark.parametrize("corpus", [
+    [[0, 4]], [[-1, 0]], [[0], [2**64]],
+], ids=["too-large", "negative", "huge"])
+def test_estimate_prior_rejects_out_of_range_tokens(corpus):
+    with pytest.raises(ValueError):
+        estimate_prior(corpus, vocab_size=4)
+
+
+@pytest.mark.parametrize("corpus", [
+    [[0, 1.5]], [[2.0]], [[np.float64(1.0)]], [["a"]], [[[0, 1]]], [3],
+], ids=["fraction", "integral-float", "numpy-float", "string", "nested", "not-a-sequence"])
+def test_estimate_prior_refuses_non_integer_tokens(corpus):
+    with pytest.raises(ValueError, match="integers"):
+        estimate_prior(corpus, vocab_size=4)
+
+
+def test_estimate_prior_rejects_a_corpus_of_empty_sequences():
+    with pytest.raises(ValueError, match="no tokens"):
+        estimate_prior([[], ()], vocab_size=3)
+
+
+def test_fused_step_on_stacked_rows_matches_per_row_calls_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for weights in (FusionWeights(0.005, 0.45), FusionWeights(0.3, 0.0),
+                    FusionWeights(0.0, 2.0)):
+        am = normalized_rows(rng, (7, 9))
+        lm = normalized_rows(rng, (7, 9))
+        am[rng.random(am.shape) < 0.2] = -np.inf
+        lm[rng.random(lm.shape) < 0.2] = -np.inf
+        prior = PriorModel(normalized_rows(rng, 9))
+        stacked = fused_step(am, lm, prior, weights)
+        rows = np.array([fused_step(a, b, prior, weights) for a, b in zip(am, lm)])
+        assert stacked.shape == (7, 9)
+        assert np.isneginf(stacked).any()
+        np.testing.assert_array_equal(stacked.view(np.uint64), rows.view(np.uint64))
+        if weights.lambda_lm:
+            want = am - weights.lambda_prior * prior.log_probs + weights.lambda_lm * lm
+            np.testing.assert_array_equal(stacked.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("am_shape, lm_shape", [
+    ((2, 3), (3, 3)), ((2, 3), (3,)), ((2, 4), (2, 4)), ((), ()),
+])
+def test_fused_step_rejects_mismatched_stacks(am_shape, lm_shape):
+    with pytest.raises(ValueError):
+        fused_step(np.zeros(am_shape), np.zeros(lm_shape), uniform_prior(3),
+                   FusionWeights())
+
+
+def test_beam_search_calls_fused_step_once_per_step_on_all_live_rows(monkeypatch):
+    rng = np.random.default_rng(32)
+    am, lm, prior = random_instance(rng, vocab=4, max_len=4)
+    calls = []
+
+    def recording(am_rows, lm_rows, prior, weights):
+        calls.append((am_rows.shape, lm_rows.shape))
+        return fused_step(am_rows, lm_rows, prior, weights)
+
+    monkeypatch.setattr(fusion, "fused_step", recording)
+    w = FusionWeights(0.005, 0.45)
+    got = beam_search(am, lm, prior, w, beam_size=3, max_len=4, eos_id=7)
+    monkeypatch.undo()
+    # eos is never taken, so the beam stays full after the first step
+    assert calls == [((1, 4), (1, 4)), ((3, 4), (3, 4)), ((3, 4), (3, 4)),
+                     ((3, 4), (3, 4))]
+    assert_same_hypothesis(got, object_sort_search(am, lm, prior, w, 3, 4, 7))
+
+
+def test_beam_search_calls_every_am_row_then_every_lm_row_in_token_order():
+    rng = np.random.default_rng(33)
+    am, lm, prior = random_instance(rng, vocab=4, max_len=3)
+    order = []
+
+    class Recording:
+        def __init__(self, name, inner):
+            self.name, self.inner = name, inner
+
+        def log_probs(self, prefix, context):
+            order.append((self.name, prefix))
+            return self.inner.log_probs(prefix, context)
+
+    beam_search(Recording("am", am), Recording("lm", lm), prior,
+                FusionWeights(0.005, 0.45), beam_size=3, max_len=3, eos_id=7)
+    steps = [order[:2]] + [order[2 + 6 * k:8 + 6 * k] for k in range(2)]
+    assert len(order) == 2 + 6 * 2
+    for step in steps:
+        half = len(step) // 2
+        assert [n for n, _ in step] == ["am"] * half + ["lm"] * half
+        prefixes = [p for _, p in step[:half]]
+        assert prefixes == sorted(prefixes) == [p for _, p in step[half:]]
+
+
+class ShapedAfter:
+    """A uniform scorer that returns row once the prefix is `after` long."""
+
+    def __init__(self, row, after):
+        self.row, self.after = np.asarray(row, dtype=np.float64), after
+
+    def log_probs(self, prefix, context):
+        if len(prefix) >= self.after:
+            return self.row
+        return np.full(3, -math.log(3))
+
+
+@pytest.mark.parametrize("row, message", [
+    (np.full(4, -math.log(4)), "shape"),
+    (np.full((1, 3), -math.log(3)), "shape"),
+    (np.zeros(3), "not normalized"),
+], ids=["length", "rank", "normalisation"])
+@pytest.mark.parametrize("which", ["am", "lm"])
+def test_a_broken_scorer_is_named_in_the_contract_error(row, message, which):
+    good = Fixed([-math.log(3)] * 3)
+    bad = ShapedAfter(row, after=2)  # breaks the contract from the second step
+    am, lm = (bad, good) if which == "am" else (good, bad)
+    name = "acoustic scorer" if which == "am" else "language model scorer"
+    w = FusionWeights(0.0, 0.5)
+    with pytest.raises(ScorerContractError, match=f"{name}.*{message}"):
+        beam_search(am, lm, uniform_prior(3), w, 2, 3, eos_id=2)
+    with pytest.raises(ScorerContractError, match=f"{name}.*{message}"):
+        exhaustive_search(am, lm, uniform_prior(3), w, 3, eos_id=2)
+
+
+def test_a_non_numeric_row_breaks_the_contract():
+    good = Fixed([-math.log(3)] * 3)
+
+    class Words:
+        def log_probs(self, prefix, context):
+            return ["a", "b", "c"]
+
+    with pytest.raises(ScorerContractError, match="language model scorer"):
+        beam_search(good, Words(), uniform_prior(3), FusionWeights(), 2, 2, eos_id=2)
+
+
+def test_zero_lm_weight_ignores_an_lm_that_forbids_the_best_token():
+    # 0 * -inf is NaN; a zero LM weight must drop the term, not rank token 0
+    # last. eos (3) is outside the vocabulary, so both searches pick among the
+    # live one-token hypotheses.
+    am = Fixed(np.log([0.7, 0.2, 0.1]))
+    forbidding = Fixed([-np.inf, 0.0, -np.inf])
+    uniform = Fixed([-math.log(3)] * 3)
+    w = FusionWeights(0.0, 0.0)
+    for lm in (forbidding, uniform):
+        best = beam_search(am, lm, uniform_prior(3), w, 1, 1, eos_id=3)
+        oracle = exhaustive_search(am, lm, uniform_prior(3), w, 1, eos_id=3)
+        assert best.tokens == oracle.tokens == (fusion.SOS_ID, 0)
+        assert best.score == oracle.score == math.log(0.7)
+    assert not np.isnan(fused_step(am.row, forbidding.row, uniform_prior(3), w)).any()
