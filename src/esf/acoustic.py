@@ -150,6 +150,27 @@ def _axis_images(src: float, length: float, order: int,
             np.asarray(counts, dtype=np.int64)[idx])
 
 
+@functools.lru_cache(maxsize=16)
+def _kept_images(nx: bytes, ny: bytes, nz: bytes,
+                 order: int) -> tuple[np.ndarray, ...]:
+    """Lattice indices (ix, iy, iz) of the images within order reflections,
+    in C order of the (x, y, z) lattice, and their reflection counts.
+
+    Keyed on the three axes' int64 reflection counts: without a reach these
+    depend on the order alone, so simulate's rooms share one entry. The
+    arrays have the smallest integer type that holds them, and are
+    read-only, as every caller gets the same ones.
+    """
+    x, y, z = (np.frombuffer(n, dtype=np.int64) for n in (nx, ny, nz))
+    total = x[:, None, None] + y[None, :, None] + z[None, None, :]
+    kept = np.nonzero(total <= order)
+    dtype = np.min_scalar_type(max(*total.shape, order))
+    out = tuple(a.astype(dtype) for a in (*kept, total[kept]))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def compute_rir(room: RoomSpec, sample_rate: int, *,
                 duration: float | None = None) -> ImpulseResponse:
     """Image-source impulse response up to room.max_image_order.
@@ -165,22 +186,17 @@ def compute_rir(room: RoomSpec, sample_rate: int, *,
     reach = None if duration is None else duration * c
     reflect = math.sqrt(max(0.0, 1.0 - t60_to_absorption(room)))
 
-    axes = [_axis_images(room.source_position[i], room.dimensions[i], order, reach)
-            for i in range(3)]
-    cx, nx = axes[0]
-    cy, ny = axes[1]
-    cz, nz = axes[2]
-    # full lattice, then drop by total order (and by reach when truncating)
-    total = nx[:, None, None] + ny[None, :, None] + nz[None, None, :]
-    keep = total <= order
-    dx = cx[:, None, None] - room.mic_position[0]
-    dy = cy[None, :, None] - room.mic_position[1]
-    dz = cz[None, None, :] - room.mic_position[2]
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    (cx, nx), (cy, ny), (cz, nz) = (
+        _axis_images(room.source_position[i], room.dimensions[i], order, reach)
+        for i in range(3))
+    ix, iy, iz, refl_count = _kept_images(nx.tobytes(), ny.tobytes(), nz.tobytes(), order)
+    # squares per axis, then summed per image: the same float64 operations
+    dx, dy, dz = (c - m for c, m in zip((cx, cy, cz), room.mic_position))
+    dist = np.sqrt((dx * dx)[ix] + (dy * dy)[iy] + (dz * dz)[iz])
     if reach is not None:
-        keep &= dist <= reach
-    dist = dist[keep]
-    refl_count = total[keep]
+        near = dist <= reach
+        dist = dist[near]
+        refl_count = refl_count[near]
 
     delays = dist * (sample_rate / c)
     if duration is None:

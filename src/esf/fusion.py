@@ -26,6 +26,8 @@ from .errors import ScorerContractError
 
 SOS_ID = -1
 NORMALIZATION_TOL = 1e-6
+# a row's sum of exp accepted without a logsumexp: [exp(-tol), exp(tol)]
+_SUM_LO, _SUM_HI = math.exp(-NORMALIZATION_TOL), math.exp(NORMALIZATION_TOL)
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,10 @@ def _scored_rows(am: StepScorer, lm: StepScorer,
     all -inf, or holds NaN or +inf, has a non-finite logsumexp and fails
     too; -inf entries in an otherwise normalized row are legal. A failure
     raises ScorerContractError naming the scorer.
+
+    Rows with no entry above 1 are accepted by their plain sums of exp; any
+    other rows, and rows whose sums fall outside the bounds, go through the
+    max-shifted logsumexp, which decides and words every failure.
     """
     rows = [am.log_probs(p, context) for p in prefixes]
     rows += [lm.log_probs(p, context) for p in prefixes]
@@ -161,6 +167,12 @@ def _scored_rows(am: StepScorer, lm: StepScorer,
             if shape != (vocab_size,):
                 raise ScorerContractError(
                     f"{broke(i)} returned shape {shape}, expected ({vocab_size},)")
+    # No entry above 1 means exp cannot overflow, so the sums need no max
+    # shift; NaN and +inf fail the max test, and an all -inf row sums to 0.
+    if stacked.max() <= 1.0:
+        sums = np.exp(stacked).sum(axis=1).tolist()
+        if _SUM_LO <= min(sums) and max(sums) <= _SUM_HI:
+            return stacked
     lse = _logsumexp_rows(stacked)
     bad = ~(np.abs(lse) <= NORMALIZATION_TOL)  # NaN compares False
     if bad.any():
@@ -192,7 +204,8 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     The live hypotheses all have the same length and are kept in token
     order, so a candidate's flat index h * V + v is its rank in token order,
     and a stable argsort of -score gives the exact order with no tuple
-    comparisons.
+    comparisons. The at most beam_size kept candidates are then split into
+    finished and live ones, and put back in token order, as Python numbers.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -206,17 +219,23 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
         if not live:
             break
         rows = _scored_rows(am, lm, live, context, vocab_size)
-        fused = fused_step(rows[:len(live)], rows[len(live):], prior, weights)
-        cand = (scores[:, None] + fused).ravel()
+        cand = fused_step(rows[:len(live)], rows[len(live):], prior, weights)
+        # in place on fused_step's new array; IEEE addition commutes, so each
+        # candidate has the bits of live score + fused step
+        cand += scores[:, None]
+        cand = cand.ravel()
         kept = np.argsort(-cand, kind="stable")[:beam_size]
-        parents, tokens = np.divmod(kept, vocab_size)
-        done = tokens == eos_id
-        finished.extend(Hypothesis(live[h] + (eos_id,), s, True)
-                        for h, s in zip(parents[done].tolist(), cand[kept[done]].tolist()))
-        keep = np.sort(kept[~done])  # back to token order
-        parents, tokens = np.divmod(keep, vocab_size)
-        live = [live[h] + (v,) for h, v in zip(parents.tolist(), tokens.tolist())]
-        scores = cand[keep]
+        grown, kept_scores = [], []
+        # back to token order: the flat index is the candidate's token rank
+        for i, s in sorted(zip(kept.tolist(), cand[kept].tolist())):
+            h, v = divmod(i, vocab_size)
+            if v == eos_id:
+                finished.append(Hypothesis(live[h] + (v,), s, True))
+            else:
+                grown.append(live[h] + (v,))
+                kept_scores.append(s)
+        live = grown
+        scores = np.array(kept_scores)
     if finished:
         return _best(finished)
     # live is in token order, so the first best score has the smallest tokens

@@ -27,7 +27,7 @@ _HEADER = struct.Struct("<4sBBI")
 _ORDINAL = struct.Struct("<Q")
 _FEATURE_DIMS = struct.Struct("<III")
 _LABEL_DIMS = struct.Struct("<II")
-_RECV_BYTES = 64 * 1024  # initial receive buffer; grows to the largest frame
+_RECV_BYTES = 64 * 1024  # initial receive buffer; doubles up to the largest frame
 
 
 class MsgType(enum.IntEnum):
@@ -73,18 +73,25 @@ class FrameReader:
         self._end = 0  # end of the received bytes
 
     def _fill(self, n: int) -> bool:
-        """Buffer n unread bytes; False on clean EOF at a frame boundary."""
+        """Buffer n unread bytes; False on clean EOF at a frame boundary.
+
+        The buffer grows, doubling up to n, only when received bytes fill
+        it, so a length that a header claims costs no memory until its
+        bytes arrive.
+        """
         if self._end - self._start >= n:
             return True
         if self._start + n > len(self._buf):
-            # move the unread bytes to the front, into a larger buffer if needed
-            buf = self._buf if n <= len(self._buf) else bytearray(max(n, 2 * len(self._buf)))
+            # move the unread bytes to the front
             unread = self._end - self._start
-            buf[:unread] = self._buf[self._start:self._end]
-            self._buf, self._start, self._end = buf, 0, unread
-        view = memoryview(self._buf)
+            self._buf[:unread] = self._buf[self._start:self._end]
+            self._start, self._end = 0, unread
         while self._end - self._start < n:
-            got = self._recv_into(view[self._end:])
+            if self._end == len(self._buf):  # full, and _start is 0
+                buf = bytearray(min(2 * len(self._buf), n))
+                buf[:self._end] = self._buf
+                self._buf = buf
+            got = self._recv_into(memoryview(self._buf)[self._end:])
             if not got:
                 if self._end == self._start:
                     return False

@@ -182,6 +182,32 @@ def test_rir_bit_identical_to_add_at_oracle(order, truncate):
         assert np.array_equal(taps.view(np.uint64), want.view(np.uint64))
 
 
+def test_rir_bit_identical_to_full_lattice_over_orders():
+    # the kept images come from a per-order cache; the oracle masks the full
+    # lattice for every room
+    rng = np.random.default_rng(40)
+    for trial in range(300):
+        cfg = acoustic.SimulatorConfig(max_image_order=int(rng.integers(0, 25)))
+        room = acoustic.sample_room(rng, cfg)
+        taps = acoustic.compute_rir(room, 16000).taps
+        want = rir_add_at_oracle(room, 16000)
+        assert np.array_equal(taps.view(np.uint64), want.view(np.uint64))
+
+
+def test_rir_source_within_rounding_of_a_wall_matches_the_lattice():
+    # 2*L + x rounds to 2*L - x here, so the stable sort of the x images puts
+    # that pair's reflection counts in the other order than in other rooms
+    room = acoustic.RoomSpec((5, 4, 3), [1e-300, 1.3, 1.1], [3.2, 2.1, 1.7], 0.4,
+                             max_image_order=6)
+    _, counts = acoustic._axis_images(1e-300, 5.0, 6, None)
+    _, usual = acoustic._axis_images(1.0, 5.0, 6, None)
+    assert not np.array_equal(counts, usual)
+    for duration in (None, 0.02):
+        taps = acoustic.compute_rir(room, 16000, duration=duration).taps
+        want = rir_add_at_oracle(room, 16000, duration)
+        assert np.array_equal(taps.view(np.uint64), want.view(np.uint64))
+
+
 def test_rir_degenerate_geometry():
     room = acoustic.RoomSpec((5, 4, 3), [1, 1, 1], [1, 1, 1], 0.4)
     with pytest.raises(DegenerateGeometryError):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -329,9 +331,12 @@ def test_hypothesis_tokens_begin_with_sos():
 
 
 def object_sort_search(am, lm, prior, weights, beam_size, max_len, eos_id,
-                       context=None):
+                       context=None, kept_per_step=None):
     """The object-sort loop beam_search replaced: every candidate a Hypothesis,
-    one keyed sort per step. Kept as the oracle of the array step."""
+    one keyed sort per step. Kept as the oracle of the array step.
+
+    kept_per_step, a list, gets (finished, kept) candidate counts per step.
+    """
     vocab_size = len(prior)
     live = [fusion.Hypothesis((fusion.SOS_ID,), 0.0, False)]
     finished = []
@@ -350,6 +355,8 @@ def object_sort_search(am, lm, prior, weights, beam_size, max_len, eos_id,
         kept = candidates[:beam_size]
         live = [h for h in kept if not h.finished]
         finished.extend(h for h in kept if h.finished)
+        if kept_per_step is not None:
+            kept_per_step.append((len(kept) - len(live), len(kept)))
     return min(finished or live, key=lambda h: (-h.score, h.tokens))
 
 
@@ -389,11 +396,15 @@ class SeededScorer:
 @pytest.mark.parametrize("tied", [False, True])
 def test_beam_search_matches_object_sort_oracle(tied):
     rng = np.random.default_rng(20 + tied)
-    for trial in range(150):
+    steps = []
+    for trial in range(200):
         vocab = int(rng.integers(2, 9))
         eos = int(rng.integers(vocab))
         max_len = int(rng.integers(1, 7))
-        beam = int(rng.choice([1, 2, 3, vocab - 1, vocab, vocab + 3, 4 * vocab]))
+        beam = int(rng.choice([1, 2, 3, vocab - 1, vocab, vocab + 3, 4 * vocab, 0]))
+        if beam == 0:  # 3 more than any step's H * V candidates: nothing is cut
+            max_len = min(max_len, 3)
+            beam = vocab ** max_len + 3
         beam = max(beam, 1)
         am = SeededScorer(3 * trial, vocab, tied=tied)
         lm = SeededScorer(3 * trial + 1, vocab, tied=tied)
@@ -401,9 +412,13 @@ def test_beam_search_matches_object_sort_oracle(tied):
                  else PriorModel(normalized_rows(rng, vocab)))
         w = (FusionWeights(0.0, float(rng.choice([0.5, 1.0, 2.0]))) if tied
              else FusionWeights(float(rng.uniform(0, 0.5)), float(rng.uniform(0.1, 1.0))))
-        want = object_sort_search(am, lm, prior, w, beam, max_len, eos)
+        want = object_sort_search(am, lm, prior, w, beam, max_len, eos,
+                                  kept_per_step=steps)
         got = beam_search(am, lm, prior, w, beam, max_len, eos)
         assert_same_hypothesis(got, want)
+    # steps that keep eos among live candidates, and steps where all finish
+    assert sum(0 < done < kept for done, kept in steps) >= 100
+    assert sum(0 < done == kept for done, kept in steps) >= 10
 
 
 def test_beam_search_edge_shapes_match_object_sort_oracle():
@@ -456,23 +471,69 @@ class Fixed:
         return self.row
 
 
+def contract_outcome(which, row):
+    """The ScorerContractError message of beam_search and exhaustive_search
+    when the AM or the LM returns row at every step, or None when both pass;
+    any warning raised on the way fails the test."""
+    good = Fixed([-math.log(3)] * 3)
+    bad = Fixed(row)
+    am, lm = (bad, good) if which == "am" else (good, bad)
+    w = FusionWeights(0.0, 0.5)
+    messages = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for search in (lambda: beam_search(am, lm, uniform_prior(3), w, 2, 2, eos_id=2),
+                       lambda: exhaustive_search(am, lm, uniform_prior(3), w, 2, eos_id=2)):
+            try:
+                search()
+                messages.append(None)
+            except ScorerContractError as exc:
+                messages.append(str(exc))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+SCORER = {"am": "acoustic scorer", "lm": "language model scorer"}
+
+
+@pytest.mark.parametrize("which", ["am", "lm"])
+def test_a_row_with_a_small_positive_entry_passes(which):
+    for top in (1e-12, 5e-7, 1e-6):
+        assert contract_outcome(which, [top, -np.inf, -np.inf]) is None
+
+
+@pytest.mark.parametrize("which", ["am", "lm"])
+def test_a_row_with_a_large_entry_fails_without_a_warning(which):
+    for row in ([800.0, -np.inf, -np.inf], [800.0, 0.0, -1.0], [1.5, -40.0, -50.0]):
+        want = np.logaddexp.reduce(row)
+        assert contract_outcome(which, row) == (
+            f"{SCORER[which]} output is not normalized (logsumexp={want:.2e})")
+
+
+@pytest.mark.parametrize("which", ["am", "lm"])
+def test_the_normalization_bound_is_one_millionth(which):
+    base = np.log([0.5, 0.3, 0.2])
+    for shift in (0.9e-6, -0.9e-6):
+        assert contract_outcome(which, base + shift) is None
+    for shift in (1.1e-6, -1.1e-6):
+        message = contract_outcome(which, base + shift)
+        assert re.fullmatch(rf"{SCORER[which]} output is not normalized "
+                            rf"\(logsumexp={shift:.2e}\)", message)
+
+
 @pytest.mark.parametrize("row", [
     [np.nan, np.nan, np.nan],
     [-np.inf, -np.inf, -np.inf],
     [np.inf, -np.inf, -np.inf],
     [np.inf, 0.0, -1.0],
     [0.0, np.nan, -np.inf],
-], ids=["all-nan", "all-neg-inf", "pos-inf", "pos-inf-finite", "nan-entry"])
+    [-800.0, -800.0, -800.0],
+], ids=["all-nan", "all-neg-inf", "pos-inf", "pos-inf-finite", "nan-entry", "underflow"])
 @pytest.mark.parametrize("which", ["am", "lm"])
 def test_non_finite_scorer_output_breaks_the_contract(row, which):
-    good = Fixed([-math.log(3)] * 3)
-    bad = Fixed(row)
-    am, lm = (bad, good) if which == "am" else (good, bad)
-    w = FusionWeights(0.0, 0.5)
-    with pytest.raises(ScorerContractError):
-        beam_search(am, lm, uniform_prior(3), w, 2, 2, eos_id=2)
-    with pytest.raises(ScorerContractError):
-        exhaustive_search(am, lm, uniform_prior(3), w, 2, eos_id=2)
+    want = "-7.99e+02" if row[0] == -800.0 else "nan"
+    assert contract_outcome(which, row) == (
+        f"{SCORER[which]} output is not normalized (logsumexp={want})")
 
 
 def test_neg_inf_entries_in_a_normalized_row_are_legal():

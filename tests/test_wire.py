@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,34 @@ def test_frames_split_across_short_reads():
     reader = wire.FrameReader(recv_into)
     assert [reader.read_frame() for _ in payloads] == [
         (wire.MsgType.BATCH, p) for p in payloads]
+    assert reader.read_frame() is None
+
+
+def test_a_claimed_length_costs_no_memory_until_its_bytes_arrive():
+    # a header claiming the largest payload, then 10 bytes and end of stream
+    header = wire.MAGIC + struct.pack("<BBI", wire.VERSION, wire.MsgType.HELLO,
+                                      wire.MAX_PAYLOAD)
+    stream = header + b"x" * 10
+    assert len(stream) == 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError):
+            reader_over(stream).read_frame()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
+def test_frames_of_one_size_reuse_one_receive_buffer():
+    payload = bytes(range(256)) * 800  # 200 KiB, past the initial buffer
+    frame = wire.encode_frame(wire.MsgType.BATCH, payload)
+    reader = reader_over(frame * 6)
+    assert reader.read_frame() == (wire.MsgType.BATCH, payload)
+    buf = reader._buf
+    for _ in range(5):
+        assert reader.read_frame() == (wire.MsgType.BATCH, payload)
+    assert reader._buf is buf
     assert reader.read_frame() is None
 
 
