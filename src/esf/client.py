@@ -1,24 +1,27 @@
 """Consumer side of the example-server transport.
 
-A background reader thread deserializes incoming batches into a local queue
-and the iterating thread grants one credit back per batch it takes, so at
-most max_credits batches are ever buffered server-side or in flight. Batches
-are immutable after decoding and can be handed to another thread safely.
+One reader thread per connection deserializes incoming batches into a local
+queue; the iterating thread sends the credit for each batch it takes, so at
+most max_credits batches are ever buffered server-side or in flight. A broken
+stream ends with one DeliveryError carrying the last ordinal received.
+Batches are immutable after decoding and can be handed to another thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue
 import socket
 import struct
 import threading
 
-from .errors import CorruptionError, DeliveryError, EsfError, TruncationError
+from .errors import DeliveryError, EsfError
 from .pipeline import Batch
 from .wire import FrameReader, MsgType, decode_batch, encode_frame
 
 _END = object()
+_CREDIT_ONE = encode_frame(MsgType.CREDIT, struct.pack("<I", 1))
 
 
 class Consumer:
@@ -41,6 +44,7 @@ class Consumer:
         try:
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self.assignment: dict = self._handshake(reader)
+            self.sock.settimeout(None)  # timeout bounds the handshake only
         except DeliveryError:
             self.sock.close()
             raise
@@ -51,13 +55,6 @@ class Consumer:
             target=self._reader_loop, args=(reader,), daemon=True,
             name="esf-consumer-reader")
         self._reader_thread.start()
-        # credits go out on their own thread: the send syscall wakes the
-        # server, whose send-plus-produce burst would otherwise preempt the
-        # consumer on a busy host before sendall returns
-        self._credit_queue: queue.Queue = queue.Queue()
-        self._credit_thread = threading.Thread(
-            target=self._credit_loop, daemon=True, name="esf-consumer-credit")
-        self._credit_thread.start()
 
     def _handshake(self, reader: FrameReader) -> dict:
         """HELLO, the server's reply, then the initial credit grant.
@@ -89,40 +86,22 @@ class Consumer:
         with self._write_lock:
             self.sock.sendall(data)
 
-    def _credit_loop(self) -> None:
-        while True:
-            grant = self._credit_queue.get()
-            if grant is None:
-                return
-            try:
-                self._send(encode_frame(MsgType.CREDIT, struct.pack("<I", grant)))
-            except OSError:
-                return  # stream already complete or connection gone
-
     def _reader_loop(self, reader: FrameReader) -> None:
-        try:
-            self._reader_loop_inner(reader)
-        finally:
-            self._first_item.set()
-
-    def _reader_loop_inner(self, reader: FrameReader) -> None:
+        """Queue each batch, then _END or the one DeliveryError that ends the stream."""
         try:
             while True:
                 frame = reader.read_frame()
                 if frame is None:
-                    self._batches.put(DeliveryError(
-                        f"connection closed mid-epoch after batch "
-                        f"{self.last_ordinal}", last_ordinal=self.last_ordinal))
-                    return
+                    raise DeliveryError(
+                        f"connection closed mid-epoch after batch {self.last_ordinal}",
+                        last_ordinal=self.last_ordinal)
                 msg_type, payload = frame
                 if msg_type == MsgType.BATCH:
                     ordinal, batch = decode_batch(payload)
                     if ordinal is None:
-                        raise DeliveryError("batch frame without an ordinal")
+                        raise EsfError("batch frame without an ordinal")
                     if self.last_ordinal is not None and ordinal <= self.last_ordinal:
-                        raise DeliveryError(
-                            f"batch ordinal {ordinal} not increasing after "
-                            f"{self.last_ordinal}", last_ordinal=self.last_ordinal)
+                        raise EsfError(f"batch ordinal {ordinal} not increasing")
                     self.last_ordinal = ordinal
                     self._batches.put(batch)
                     self._first_item.set()
@@ -133,39 +112,32 @@ class Consumer:
                     self._stats.put(json.loads(payload.decode("utf-8")))
                 elif msg_type == MsgType.ERROR:
                     message = json.loads(payload.decode("utf-8")).get("message", "")
-                    self._batches.put(DeliveryError(
-                        f"server error: {message}", last_ordinal=self.last_ordinal))
-                    return
-        except (CorruptionError, TruncationError) as exc:
-            err = DeliveryError(f"{exc} (after batch {self.last_ordinal})",
-                                last_ordinal=self.last_ordinal)
-            err.__cause__ = exc
-            self._batches.put(err)
-        except EsfError as exc:
-            self._batches.put(exc if isinstance(exc, DeliveryError) else
-                              DeliveryError(str(exc), last_ordinal=self.last_ordinal))
-        except OSError:
-            if not self._closed:
-                self._batches.put(DeliveryError(
-                    f"socket error after batch {self.last_ordinal}",
-                    last_ordinal=self.last_ordinal))
-        except Exception as exc:  # e.g. a STATS payload that is not JSON:
-            # the stream must still end with an item, or __next__ blocks forever
-            err = DeliveryError(f"malformed frame after batch {self.last_ordinal}: "
-                                f"{exc!r}", last_ordinal=self.last_ordinal)
-            err.__cause__ = exc
-            self._batches.put(err)
+                    raise DeliveryError(f"server error: {message}",
+                                        last_ordinal=self.last_ordinal)
+        except Exception as exc:  # the stream must end with an item, or __next__ blocks
+            if isinstance(exc, OSError) and self._closed:
+                return  # close() shut the socket under this thread
+            if not isinstance(exc, DeliveryError):
+                cause = exc
+                exc = DeliveryError(f"stream broken after batch {self.last_ordinal}: "
+                                    f"{cause!r}", last_ordinal=self.last_ordinal)
+                exc.__cause__ = cause
+            self._batches.put(exc)
+        finally:
+            self._first_item.set()
 
     def __iter__(self):
         return self
 
     def __next__(self) -> Batch:
         item = self._batches.get()
-        if item is _END:
-            raise StopIteration
-        if isinstance(item, Exception):
-            raise item
-        self._credit_queue.put(1)  # hand back the slot this batch freed
+        if item is _END or isinstance(item, Exception):
+            self._batches.put(item)  # the stream stays ended for every later call
+            raise StopIteration if item is _END else item
+        # grant back the slot this batch freed; if the socket is gone, the
+        # reader reports it on the next call
+        with contextlib.suppress(OSError):
+            self._send(_CREDIT_ONE)
         return item
 
     def stats(self, timeout: float = 10.0) -> dict:
@@ -183,11 +155,8 @@ class Consumer:
 
     def close(self) -> None:
         self._closed = True
-        self._credit_queue.put(None)
-        try:
+        with contextlib.suppress(OSError):
             self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         self.sock.close()
 
     def __enter__(self):
@@ -199,7 +168,11 @@ class Consumer:
 
 def connect_consumer(addr: tuple[str, int] | str, *, max_credits: int = 4,
                      timeout: float | None = 60.0) -> Consumer:
-    """Connect to an example server; returns an iterable Consumer handle."""
+    """Connect to an example server; returns an iterable Consumer handle.
+
+    timeout bounds the connect and the handshake only: once streaming, the
+    reader waits without a deadline, so a trainer may hold its credits.
+    """
     if isinstance(addr, str):
         host, port = addr.rsplit(":", 1)
         addr = (host, int(port))

@@ -210,15 +210,18 @@ def read_shard(path: str) -> Iterator[UtteranceRecord]:
 def read_all(shards: ShardSet | Sequence[str]) -> list[UtteranceRecord]:
     """All records of a shard set, re-merged into original round-robin order.
 
-    Round-robin writing makes shard sizes non-increasing, so the merge ends
-    at the first exhausted stream within a round.
+    Shards are read round-robin, one record each per round, until every
+    shard is exhausted, so shards of any sizes lose no record.
     """
     paths = shards.shard_paths if isinstance(shards, ShardSet) else list(shards)
     streams = [read_shard(p) for p in paths]
     out: list[UtteranceRecord] = []
-    while True:
+    while streams:
+        live = []
         for s in streams:
             rec = next(s, None)
-            if rec is None:
-                return out
-            out.append(rec)
+            if rec is not None:
+                out.append(rec)
+                live.append(s)
+        streams = live
+    return out

@@ -105,10 +105,11 @@ def tlv_pack(tag: int, data: bytes) -> bytes:
     return struct.pack("<BI", tag, len(data)) + data
 
 
-def tlv_iter(buf: bytes) -> Iterator[tuple[int, bytes]]:
+def tlv_iter(buf) -> Iterator[tuple[int, memoryview]]:
     """Yield (tag, value) fields from a TLV-encoded buffer.
 
-    Raises FormatError on a field that overruns the buffer.
+    Values are memoryview slices of buf, not copies. Raises FormatError on a
+    field that overruns the buffer.
     """
     view = memoryview(buf)
     pos = 0
@@ -120,19 +121,19 @@ def tlv_iter(buf: bytes) -> Iterator[tuple[int, bytes]]:
         pos += 5
         if end - pos < length:
             raise FormatError(f"TLV field overruns buffer at byte {pos}")
-        yield tag, bytes(view[pos:pos + length])
+        yield tag, view[pos:pos + length]
         pos += length
 
 
-def tlv_text(value: bytes, field: str) -> str:
-    """A TLV field's bytes as UTF-8 text; FormatError if they are not."""
+def tlv_text(value, field: str) -> str:
+    """A TLV field's bytes (any buffer) as UTF-8 text; FormatError if they are not."""
     try:
-        return value.decode("utf-8")
+        return str(value, "utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{field} field is not UTF-8") from None
 
 
-def tlv_struct(layout: struct.Struct, value: bytes, field: str) -> tuple:
+def tlv_struct(layout: struct.Struct, value, field: str) -> tuple:
     """A fixed-size TLV field unpacked; FormatError if its length is wrong."""
     if len(value) != layout.size:
         raise FormatError(f"{field} field must be {layout.size} bytes, got {len(value)}")

@@ -14,11 +14,11 @@ import pytest
 from esf import server as server_mod
 from esf.client import connect_consumer
 from esf.errors import DeliveryError, EsfError
-from esf.pipeline import PipelineConfig
+from esf.pipeline import Batch, PipelineConfig
 from esf.recordio import UtteranceRecord, write_shards
 from esf.server import ExampleServer, ServerConfig, launch_servers
 from esf.synth import write_synth_corpus
-from esf.wire import FrameReader, MsgType, encode_frame
+from esf.wire import FrameReader, MsgType, encode_batch_frame, encode_frame
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +199,11 @@ GOOD_HELLO_REPLY = encode_frame(MsgType.HELLO, json.dumps(
     {"version": 1, "slot": 0, "num_slots": 1, "epochs": 1}).encode())
 
 
-def fake_server(frames, reply=GOOD_HELLO_REPLY):
-    """A listener that answers one HELLO with reply, sends frames, then
-    waits for EOF (at most 10 s)."""
+def fake_server(frames, reply=GOOD_HELLO_REPLY, *, received=None, reset_after=None):
+    """A listener that answers one HELLO with reply and sends frames. It then
+    reads the consumer's frames, putting them on received (a queue, if
+    given), until EOF (at most 10 s) or, after reset_after of them, resets
+    the connection."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
@@ -213,12 +215,129 @@ def fake_server(frames, reply=GOOD_HELLO_REPLY):
             conn.sendall(reply)
             for frame in frames:
                 conn.sendall(frame)
-            while reader.read_frame() is not None:  # credits, until EOF
-                pass
+            count = 0
+            while count != reset_after and (frame := reader.read_frame()) is not None:
+                count += 1
+                if received is not None:
+                    received.put(frame)
+            if count == reset_after:  # closing with a zero linger sends RST
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     return listener, thread
+
+
+def batch_frames(n):
+    """BATCH frames with ordinals 0..n-1, one one-example batch each."""
+    batch = Batch(np.zeros((1, 3, 2), np.float32), np.array([3], np.int32),
+                  np.array([[1, 2]], np.int32), np.array([2], np.int32), ["u"])
+    return [encode_batch_frame(i, batch) for i in range(n)]
+
+
+def next_within(consumer, timeout=5.0):
+    """next(consumer) on a helper thread: the batch or the exception raised.
+
+    Raises queue.Empty if the call is still blocked after timeout seconds.
+    """
+    outcome: queue.Queue = queue.Queue()
+
+    def take():
+        try:
+            outcome.put(next(consumer))
+        except Exception as exc:
+            outcome.put(exc)
+
+    threading.Thread(target=take, daemon=True).start()
+    return outcome.get(timeout=timeout)
+
+
+def consumer_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("esf-consumer")}
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def credit(n):
+    return (MsgType.CREDIT, struct.pack("<I", n))
+
+
+def test_consumer_grants_one_credit_per_batch_taken():
+    received: queue.Queue = queue.Queue()
+    listener, thread = fake_server(batch_frames(4) + [encode_frame(MsgType.END, b"")],
+                                   received=received)
+    consumer = connect_consumer(listener.getsockname(), max_credits=3, timeout=10)
+    try:
+        assert received.get(timeout=5) == credit(3)  # the initial grant, once
+        wait_until(lambda: consumer.last_ordinal == 3)  # every batch is queued
+        for ordinal in range(4):
+            time.sleep(0.1)
+            assert received.empty()  # no credit ahead of a batch taken
+            assert next(consumer).utt_ids == ["u"]
+            assert received.get(timeout=5) == credit(1)
+        with pytest.raises(StopIteration):
+            next(consumer)
+        assert isinstance(next_within(consumer), StopIteration)  # stays ended
+        time.sleep(0.1)
+        assert received.empty()
+    finally:
+        consumer.close()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_peer_reset_mid_stream_raises_delivery_error_with_last_ordinal():
+    # the peer resets once the consumer took one batch; the credit for the
+    # second one goes to a dead socket and must not raise
+    listener, thread = fake_server(batch_frames(3), reset_after=2)
+    before = consumer_threads()
+    consumer = connect_consumer(listener.getsockname(), max_credits=4, timeout=10)
+    try:
+        wait_until(lambda: consumer.last_ordinal == 2)
+        assert next(consumer).size == 1  # its credit makes the peer reset
+        thread.join(timeout=10)
+        wait_until(lambda: not consumer_threads() - before)  # the reader saw it
+        assert next(consumer).size == 1
+        assert next(consumer).size == 1
+        err = next_within(consumer)
+        assert isinstance(err, DeliveryError) and err.last_ordinal == 2
+        assert isinstance(err.__cause__, OSError)
+    finally:
+        consumer.close()
+        listener.close()
+
+
+def test_one_consumer_thread_per_open_connection(corpus):
+    server, endpoint, thread = make_server(corpus, num_pipelines=2)
+    before = consumer_threads()
+    consumers = [connect_consumer(endpoint) for _ in range(2)]
+    assert len(consumer_threads() - before) == 2
+    assert sum(b.size for b in consumers[0]) == 5
+    consumers[1].wait_ready(10)  # a reader blocked on a live socket
+    for c in consumers:
+        c.close()
+    wait_until(lambda: not consumer_threads() - before)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_paused_trainer_keeps_a_healthy_stream(corpus):
+    # timeout bounds the connect and the handshake, not the waits for
+    # frames while the trainer holds every credit
+    server, endpoint, thread = make_server(corpus, batch_size=1)
+    with connect_consumer(endpoint, max_credits=2, timeout=0.5) as c:
+        first = next(c)
+        time.sleep(1.5)
+        assert first.size + sum(b.size for b in c) == 10
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("frame", [
@@ -230,17 +349,11 @@ def fake_server(frames, reply=GOOD_HELLO_REPLY):
 def test_malformed_server_frame_raises_delivery_error(frame):
     listener, thread = fake_server([frame])
     consumer = connect_consumer(listener.getsockname(), timeout=10)
-    outcome: queue.Queue = queue.Queue()
-
-    def take():
-        try:
-            outcome.put(next(consumer))
-        except Exception as exc:
-            outcome.put(exc)
-
-    threading.Thread(target=take, daemon=True).start()
     try:
-        assert isinstance(outcome.get(timeout=5.0), DeliveryError)
+        err = next_within(consumer)
+        assert isinstance(err, DeliveryError)
+        assert err.last_ordinal is None and err.__cause__ is not None
+        assert next_within(consumer) is err  # and so does every later call
     finally:
         consumer.close()
         thread.join(timeout=10)

@@ -135,6 +135,13 @@ def test_round_trip_merge_restores_order(tmp_path, num_shards):
     back = recordio.read_all(shard_set)
     assert len(back) == len(records)
     assert all(records_equal(a, b) for a, b in zip(records, back))
+    # shards given in another order (sizes increasing) lose no record: the
+    # same round-robin merge, over the reversed shard list
+    shards = [records[k::num_shards] for k in reversed(range(num_shards))]
+    expected = [s[i] for i in range(len(shards[-1])) for s in shards if i < len(s)]
+    back = recordio.read_all(shard_set.shard_paths[::-1])
+    assert len(back) == len(records)
+    assert all(records_equal(a, b) for a, b in zip(expected, back))
 
 
 def test_framing_length_is_16_plus_payload(tmp_path):
