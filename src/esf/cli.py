@@ -92,7 +92,7 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_dryrun)
 
     p = sub.add_parser("serve", parents=[configured], help="serve batches to consumers")
-    p.add_argument("--bind", help="host:port (overrides config)")
+    p.add_argument("--bind", type=host_port, help="host:port (overrides config)")
     p.add_argument("--pipelines", type=int, help="number of pipeline slots")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
@@ -107,7 +107,7 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_launch)
 
     p = sub.add_parser("consume", help="consume one epoch from a server")
-    p.add_argument("--addr", required=True, help="host:port")
+    p.add_argument("--addr", type=host_port, required=True, help="host:port")
     p.add_argument("--step-cost", type=float, default=0.0,
                    help="simulated seconds of compute per batch")
     p.add_argument("--max-credits", type=int, default=4)
@@ -279,9 +279,7 @@ def cmd_serve(args) -> int:
 
     cfg = config_from_args(args)
     if args.bind:
-        host, _, port = args.bind.rpartition(":")
-        cfg["server"]["host"] = host or "127.0.0.1"
-        cfg["server"]["port"] = int(port)
+        cfg["server"]["host"], cfg["server"]["port"] = args.bind
     scfg = cfgmod.server_config(cfg)
 
     def announce(endpoint):
@@ -327,6 +325,14 @@ def cmd_consume(args) -> int:
         "incomplete": stats.incomplete,
     }))
     return EXIT_OK
+
+
+def host_port(text: str) -> tuple[str, int]:
+    """A "host:port" argument; an empty host means 127.0.0.1."""
+    host, sep, port = text.rpartition(":")
+    if not (sep and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
+    return host or "127.0.0.1", int(port)
 
 
 def server_counts(text: str) -> list[int]:

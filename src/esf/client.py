@@ -166,14 +166,11 @@ class Consumer:
         self.close()
 
 
-def connect_consumer(addr: tuple[str, int] | str, *, max_credits: int = 4,
+def connect_consumer(addr: tuple[str, int], *, max_credits: int = 4,
                      timeout: float | None = 60.0) -> Consumer:
     """Connect to an example server; returns an iterable Consumer handle.
 
     timeout bounds the connect and the handshake only: once streaming, the
     reader waits without a deadline, so a trainer may hold its credits.
     """
-    if isinstance(addr, str):
-        host, port = addr.rsplit(":", 1)
-        addr = (host, int(port))
     return Consumer(addr[0], addr[1], max_credits=max_credits, timeout=timeout)

@@ -23,7 +23,7 @@ from . import dsp
 from .acoustic import SimulatorConfig, simulate
 from .errors import ConfigurationError
 from .recordio import ShardSet, UtteranceRecord, read_shard
-from .util import hash64
+from .util import hash64, round_robin
 from .vtlp import WarpSpec, vtlp_resynthesize
 
 PAD_ID = 0
@@ -138,26 +138,8 @@ def interleave(shards: ShardSet | Sequence[str],
     When a shard is exhausted the next unopened shard takes its slot; every
     record appears exactly once.
     """
-    paths = shards.shard_paths if isinstance(shards, ShardSet) else list(shards)
-    cycle = max(1, min(cycle_length, len(paths)))
-    slots = [read_shard(p) for p in paths[:cycle]]
-    next_unopened = cycle
-    sentinel = object()
-    while slots:
-        i = 0
-        while i < len(slots):
-            rec = next(slots[i], sentinel)
-            while rec is sentinel:
-                if next_unopened < len(paths):
-                    slots[i] = read_shard(paths[next_unopened])
-                    next_unopened += 1
-                    rec = next(slots[i], sentinel)
-                else:
-                    del slots[i]
-                    break
-            if rec is not sentinel:
-                yield rec
-                i += 1
+    paths = shards.shard_paths if isinstance(shards, ShardSet) else shards
+    return round_robin((read_shard(p) for p in paths), max(1, cycle_length))
 
 
 def shuffle(stream: Iterable, buffer_size: int, seed: int) -> Iterator:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CorruptionError, FormatError, TruncationError
-from .util import crc32c, tlv_iter, tlv_pack, tlv_struct, tlv_text
+from .util import crc32c, round_robin, tlv_iter, tlv_pack, tlv_struct, tlv_text
 
 MAGIC = b"ESRD"
 VERSION = 1
@@ -213,15 +213,5 @@ def read_all(shards: ShardSet | Sequence[str]) -> list[UtteranceRecord]:
     Shards are read round-robin, one record each per round, until every
     shard is exhausted, so shards of any sizes lose no record.
     """
-    paths = shards.shard_paths if isinstance(shards, ShardSet) else list(shards)
-    streams = [read_shard(p) for p in paths]
-    out: list[UtteranceRecord] = []
-    while streams:
-        live = []
-        for s in streams:
-            rec = next(s, None)
-            if rec is not None:
-                out.append(rec)
-                live.append(s)
-        streams = live
-    return out
+    paths = shards.shard_paths if isinstance(shards, ShardSet) else shards
+    return list(round_robin(read_shard(p) for p in paths))

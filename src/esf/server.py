@@ -1,18 +1,17 @@
 """The example-server service: pipelines streaming batches to consumers under
 credit-based flow control.
 
-Each connection takes one pipeline slot and three threads, and every handoff
-between them blocks on the event it waits for. A producer encodes each batch
-into its frame and fills a bounded queue (capacity = the consumer's
-max_credits, so server-side buffering can never exceed it); the connection's
-thread only writes, one queued frame per credit of a semaphore; a reader
-releases that semaphore per granted credit, answers STATS, and releases it
-once more when the read side ends, to wake the sender.
-After END or ERROR the server half-closes, waits on the reader for the peer's
-EOF, drains the queue once to free a blocked producer, and joins both threads;
-the last slot to finish shuts the listener down, which ends run(). A server
-owns a shard subset (index mod server_count) and splits it again across its
-pipeline slots, so concurrent consumers receive disjoint record sets.
+Each connection takes one pipeline slot and two threads, and every handoff
+between them blocks on the event it waits for. The slot's own thread builds
+each batch, encodes it into its frame, takes one credit of a semaphore and
+sends the frame, so at most one encoded frame ever waits server-side. A
+reader releases that semaphore per granted credit, answers STATS, and
+releases it once more when the read side ends, to wake the slot thread.
+After END or ERROR the server half-closes, waits on the reader for the
+peer's EOF and joins it; the last slot to finish shuts the listener down,
+which ends run(). A server owns a shard subset (index mod server_count) and
+splits it again across its pipeline slots, so concurrent consumers receive
+disjoint record sets.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ import contextlib
 import itertools
 import json
 import os
-import queue
 import socket
 import subprocess
 import sys
 import tempfile
 import threading
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .acoustic import SimulatorConfig
 from .errors import ConfigurationError, EsfError, FormatError, LaunchError
@@ -89,11 +88,12 @@ def _error_frame(message: str) -> bytes:
 class _Connection:
     def __init__(self, sock: socket.socket, max_credits: int):
         self.sock = sock
+        self.max_credits = max_credits
         self.write_lock = threading.Lock()
         self.credits = threading.Semaphore(0)
-        self.queue: queue.Queue = queue.Queue(maxsize=max_credits)
         self.map_stats = MapStats()
         self.batches_sent = 0
+        self.buffered = 0  # frames encoded but not yet sent: 0 or 1
         self.epoch = 0
         self.alive = True
 
@@ -103,16 +103,18 @@ class _Connection:
 
     def stats_payload(self) -> bytes:
         return json.dumps({
-            "batches_sent": self.batches_sent, "buffered": self.queue.qsize(),
+            "batches_sent": self.batches_sent, "buffered": self.buffered,
             "epoch": self.epoch, "skipped": self.map_stats.skipped}).encode("utf-8")
 
     def reader_loop(self, reader: FrameReader) -> None:
         try:
             for msg_type, payload in iter(reader.read_frame, None):
                 if msg_type == MsgType.CREDIT:
-                    grant = int.from_bytes(payload[:4], "little")
+                    if len(payload) != 4:
+                        raise FormatError(f"CREDIT payload of {len(payload)} bytes, not 4")
+                    grant = int.from_bytes(payload, "little")
                     # more than a consumer may hold; Semaphore.release is O(grant)
-                    if grant > self.queue.maxsize:
+                    if grant > self.max_credits:
                         raise FormatError(f"CREDIT grant {grant} exceeds max_credits")
                     if grant:
                         self.credits.release(grant)
@@ -127,50 +129,43 @@ class _Connection:
             pass
         finally:
             # whichever way the read side ends, the consumer is gone (or the
-            # stream is complete); wake the sender so the slot can finish
+            # stream is complete); wake the slot thread so the slot can finish
             self.alive = False
             self.credits.release()
 
-    def producer_loop(self, cfg: ServerConfig, slot_cfg: PipelineConfig) -> None:
-        # frames are encoded here so the sender only writes, which releases
-        # the GIL: the connection's two busy threads never contend for it
+    def frames(self, cfg: ServerConfig,
+               slot_cfg: PipelineConfig) -> Iterator[tuple[MsgType, bytes]]:
+        """The slot's frames in order: each batch's, then END, or ERROR once
+        the pipeline fails. Closing this generator drops the pipeline's."""
         ordinals = itertools.count()
         try:
             for epoch in range(cfg.epochs):
                 self.epoch = epoch
                 for batch in build_pipeline(slot_cfg, cfg.warp_spec, cfg.sim_config,
                                             epoch=epoch, stats=self.map_stats):
-                    frame = encode_batch_frame(next(ordinals), batch)
-                    self.queue.put(frame)  # blocks at max_credits: backpressure
-                    if not self.alive:
-                        return
-            self.queue.put(None)  # end of stream
+                    yield MsgType.BATCH, encode_batch_frame(next(ordinals), batch)
         except Exception as exc:  # pipeline failure: tell the consumer
-            self.queue.put(exc)
+            yield MsgType.ERROR, _error_frame(str(exc))
+        else:
+            yield MsgType.END, encode_frame(MsgType.END, b"")
 
-    def sender_loop(self) -> None:
-        while True:
+    def send_frames(self, frames: Iterator[tuple[MsgType, bytes]]) -> None:
+        """Send each frame for one credit until the stream or the consumer ends."""
+        for msg_type, frame in frames:
+            self.buffered = 1
             self.credits.acquire()  # a granted credit, or the reader's last release
             if not self.alive:
                 return
-            item = self.queue.get()
-            if item is None:
-                self.send_frame(encode_frame(MsgType.END, b""))
-                return
-            if isinstance(item, Exception):
-                self.send_frame(_error_frame(str(item)))
-                return
-            # count before the write: the write lock orders the frame ahead
-            # of any STATS reply that reports it
-            self.batches_sent += 1
-            self.send_frame(item)
+            self.buffered = 0
+            if msg_type == MsgType.BATCH:
+                # count before the write: the write lock orders the frame
+                # ahead of any STATS reply that reports it
+                self.batches_sent += 1
+            self.send_frame(frame)
 
-    def close(self, producer: threading.Thread, reader: threading.Thread) -> None:
-        """Half-close, wait for the peer's EOF, then join both threads."""
+    def close(self, reader: threading.Thread) -> None:
+        """Half-close, wait for the peer's EOF, then join the reader."""
         self.alive = False
-        with contextlib.suppress(queue.Empty):
-            while True:  # frees a producer blocked on a full queue
-                self.queue.get_nowait()
         with contextlib.suppress(OSError):
             self.sock.shutdown(socket.SHUT_WR)
         reader.join(_CLOSE_TIMEOUT_S)
@@ -178,7 +173,6 @@ class _Connection:
             with contextlib.suppress(OSError):
                 self.sock.shutdown(socket.SHUT_RDWR)
             reader.join()
-        producer.join()
 
 
 class ExampleServer:
@@ -238,22 +232,21 @@ class ExampleServer:
 
     def _serve_slot(self, sock: socket.socket, reader: FrameReader, slot: int,
                     max_credits: int) -> None:
+        threading.current_thread().name = f"esf-slot-{slot}"
         conn = _Connection(sock, max_credits)
-        threads = (threading.Thread(target=conn.producer_loop,
-                                    args=(self.cfg, self._slot_configs[slot]),
-                                    daemon=True, name=f"esf-producer-{slot}"),
-                   threading.Thread(target=conn.reader_loop, args=(reader,),
-                                    daemon=True, name=f"esf-reader-{slot}"))
-        for t in threads:
-            t.start()
+        reader_thread = threading.Thread(target=conn.reader_loop, args=(reader,),
+                                         daemon=True, name=f"esf-reader-{slot}")
+        reader_thread.start()
         try:
             reply = json.dumps({"version": 1, "slot": slot,
                                 "num_slots": self.cfg.num_pipelines,
                                 "epochs": self.cfg.epochs}).encode("utf-8")
             conn.send_frame(encode_frame(MsgType.HELLO, reply))
-            conn.sender_loop()
+            frames = conn.frames(self.cfg, self._slot_configs[slot])
+            with contextlib.closing(frames):
+                conn.send_frames(frames)
         finally:
-            conn.close(*threads)
+            conn.close(reader_thread)
             with self._slot_lock:
                 self._slots_finished += 1
                 last = self._slots_finished == self.cfg.num_pipelines

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DeliveryError
+from .util import round_robin
 
 
 @dataclass
@@ -75,16 +76,7 @@ def merge_streams(consumers: Sequence[Iterable]) -> Iterator:
 
     Delivery errors propagate; remaining healthy streams are left untouched.
     """
-    live = [iter(c) for c in consumers]
-    while live:
-        nxt = []
-        for stream in live:
-            try:
-                yield next(stream)
-            except StopIteration:
-                continue
-            nxt.append(stream)
-        live = nxt
+    return round_robin(consumers)
 
 
 def ring_allreduce(grads: Sequence[GradientVector | np.ndarray]) -> list[GradientVector]:

@@ -1,10 +1,12 @@
-"""Shared helpers: CRC32C, a stable 64-bit hash, and tag-length-value packing."""
+"""Shared helpers: CRC32C, a stable 64-bit hash, tag-length-value packing, and
+a round-robin merge of iterables."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -98,6 +100,32 @@ def hash64(*parts: int) -> int:
     for p in parts:
         h.update(struct.pack("<Q", p & 0xFFFFFFFFFFFFFFFF))
     return int.from_bytes(h.digest(), "little")
+
+
+def round_robin(sources: Iterable[Iterable], cycle_length: int | None = None) -> Iterator:
+    """One item from each live source in turn, until every source is exhausted.
+
+    At most cycle_length sources (all if None) are live at once. Sources are
+    started in order and only when needed: an exhausted source's place passes
+    to the next unstarted one, which continues the same round. Exceptions
+    raised by a source propagate.
+    """
+    pending = iter(sources)
+    live = [iter(s) for s in itertools.islice(pending, cycle_length)]
+    done = object()
+    while live:
+        i = 0
+        while i < len(live):
+            item = next(live[i], done)
+            if item is done:
+                successor = next(pending, done)
+                if successor is done:
+                    del live[i]
+                else:
+                    live[i] = iter(successor)
+                continue
+            yield item
+            i += 1
 
 
 def tlv_pack(tag: int, data: bytes) -> bytes:

@@ -279,7 +279,8 @@ def test_criterion_6_wire_protocol(tmp_path):
             assert stats["buffered"] <= k
             peak_buffered = max(peak_buffered, stats["buffered"])
             time.sleep(0.05)
-        assert peak_buffered == k  # the producer really did fill the buffer
+        # the slot thread really did encode a frame and hold it for a credit
+        assert peak_buffered == 1
         sock.close()
 
 

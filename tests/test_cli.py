@@ -280,6 +280,21 @@ def test_serve_bind_sets_host_and_port(layered_config, monkeypatch):
     assert (seen[0].host, seen[0].port) == ("127.0.0.1", 7001)
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--bind", "localhost"],
+    ["serve", "--bind", "127.0.0.1:notaport"],
+    ["serve", "--bind", "127.0.0.1:70000"],
+    ["serve", "--bind", "127.0.0.1:"],
+    ["consume", "--addr", "localhost"],
+    ["consume", "--addr", "localhost:-1"],
+], ids=["bind-no-port", "bind-port-not-a-number", "bind-port-out-of-range",
+        "bind-empty-port", "addr-no-port", "addr-negative-port"])
+def test_malformed_host_port_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "expected host:port" in err and "data error" not in err
+
+
 def launch_settings(config):
     return (config["server"]["num_pipelines"], config["server"]["epochs"],
             config["pipeline"]["seed"])

@@ -77,7 +77,7 @@ def test_zero_credits_buffers_at_most_max(corpus):
     sock, reader = raw_hello(endpoint, max_credits=k)
     msg_type, payload = reader.read_frame()
     assert msg_type == MsgType.HELLO
-    time.sleep(1.0)  # give the producer time to fill the queue
+    time.sleep(1.0)  # give the slot thread time to encode its first frame
     for _ in range(5):
         sock.sendall(encode_frame(MsgType.STATS, b""))
         msg_type, payload = reader.read_frame()
@@ -86,7 +86,8 @@ def test_zero_credits_buffers_at_most_max(corpus):
         assert stats["batches_sent"] == 0
         assert stats["buffered"] <= k
         time.sleep(0.1)
-    assert stats["buffered"] == k  # steady state: full buffer, nothing sent
+    # steady state: one frame encoded, waiting for a credit; nothing sent
+    assert stats["buffered"] == 1
     sock.close()
     thread.join(timeout=10)
 
@@ -165,6 +166,34 @@ def test_credit_grant_above_max_credits_resets_connection(corpus):
     sock.sendall(encode_frame(MsgType.CREDIT, struct.pack("<I", 2**32 - 1)))
     sock.settimeout(5.0)
     assert reader.read_frame() is None  # closed without sending a batch
+    sock.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x01", b"\x01\x00\x00", b"\x01" + bytes(5)],
+                         ids=["0-bytes", "1-byte", "3-bytes", "6-bytes"])
+def test_credit_payload_not_4_bytes_resets_connection(corpus, payload):
+    server, endpoint, thread = make_server(corpus)
+    sock, reader = raw_hello(endpoint, max_credits=2)
+    reader.read_frame()  # HELLO reply
+    sock.sendall(encode_frame(MsgType.CREDIT, payload))
+    sock.settimeout(5.0)
+    assert reader.read_frame() is None  # closed without sending a batch
+    sock.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_open_connection_runs_a_slot_thread_and_one_reader(corpus):
+    # the slot's thread builds, encodes and sends; a reader takes credits
+    before = set(threading.enumerate())
+    server, endpoint, thread = make_server(corpus)
+    sock, reader = raw_hello(endpoint, max_credits=2)
+    assert reader.read_frame()[0] == MsgType.HELLO
+    names = sorted(t.name for t in threading.enumerate()
+                   if t not in before and t.name.startswith("esf-"))
+    assert names == ["esf-reader-0", "esf-slot-0"]
     sock.close()
     thread.join(timeout=10)
     assert not thread.is_alive()
@@ -445,8 +474,8 @@ def test_stats_report_skipped_records(tmp_path, corpus):
 
 
 def test_run_returns_with_connection_threads_joined(corpus, monkeypatch):
-    # the producer is mid-pipeline when the consumer leaves; run() must not
-    # return before it has been joined
+    # the slot thread is mid-pipeline when the consumer leaves; run() must
+    # not return before it has been joined
     real = server_mod.build_pipeline
 
     def slow_pipeline(*args, **kwargs):
@@ -468,6 +497,28 @@ def test_run_returns_with_connection_threads_joined(corpus, monkeypatch):
     assert left == []
 
 
+def test_pipeline_failure_sends_error_after_the_batches_built(corpus, monkeypatch):
+    real = server_mod.build_pipeline
+
+    def failing_pipeline(*args, **kwargs):
+        yield next(real(*args, **kwargs))
+        raise RuntimeError("augmenter crashed")
+
+    monkeypatch.setattr(server_mod, "build_pipeline", failing_pipeline)
+    before = set(threading.enumerate())
+    server, endpoint, thread = make_server(corpus)
+    with connect_consumer(endpoint, timeout=10) as c:
+        assert next(c).size == 2
+        err = next_within(c)
+    assert isinstance(err, DeliveryError)
+    assert str(err).startswith("server error: ") and "augmenter crashed" in str(err)
+    assert err.last_ordinal == 0
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    wait_until(lambda: not [t for t in threading.enumerate()
+                            if t not in before and t.name.startswith("esf-")])
+
+
 def test_multi_epoch_stream(corpus):
     server, endpoint, thread = make_server(corpus, epochs=3)
     with connect_consumer(endpoint) as c:
@@ -476,9 +527,9 @@ def test_multi_epoch_stream(corpus):
     thread.join(timeout=10)
 
 
-def test_producer_encodes_every_frame_numbered_across_epochs(corpus, monkeypatch):
-    # the sender only writes: each batch frame is encoded on the producer
-    # thread, and ordinals run on from one epoch into the next
+def test_slot_thread_encodes_every_frame_numbered_across_epochs(corpus, monkeypatch):
+    # each batch frame is encoded on the slot's own thread, and ordinals run
+    # on from one epoch into the next
     real = server_mod.encode_batch_frame
     calls = []
 
@@ -494,7 +545,7 @@ def test_producer_encodes_every_frame_numbered_across_epochs(corpus, monkeypatch
     thread.join(timeout=10)
     assert len(batches) == 10
     assert [ordinal for ordinal, _ in calls] == list(range(10))
-    assert {name for _, name in calls} == {"esf-producer-0"}
+    assert {name for _, name in calls} == {"esf-slot-0"}
 
 
 def test_corrupted_batch_payload_surfaces_crc_error(corpus):
@@ -607,10 +658,13 @@ def test_killing_one_server_isolates_the_failure(launch_config):
     procs = launch_servers(2, cfg)
     try:
         victim = connect_consumer(procs[0].endpoint, max_credits=1)
-        first = next(iter(victim))
-        assert first.size == 1
+        # kill once batch 0 has arrived but before next() grants the credit
+        # for batch 1, so no later batch can be in flight
+        assert victim.wait_ready(10)
         procs[0].kill()
         procs[0].wait(timeout=10)
+        first = next(iter(victim))
+        assert first.size == 1
         with pytest.raises(DeliveryError) as err:
             list(victim)
         assert err.value.last_ordinal == 0

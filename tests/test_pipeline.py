@@ -13,7 +13,7 @@ from esf.pipeline import (Example, MapStats, PipelineConfig, Tokenizer,
                           map_stage, padded_batch, shuffle, write_vocab)
 from esf.recordio import UtteranceRecord, write_shards
 from esf.synth import write_synth_corpus
-from esf.util import crc32c, hash64
+from esf.util import crc32c, hash64, round_robin
 from esf.vtlp import WarpSpec
 from esf.wire import encode_batch
 
@@ -60,6 +60,40 @@ def test_interleave_exactly_once(tmp_path):
               for i in range(4)]
     got = [r.utt_id for r in interleave(shards, 3)]
     assert len(got) == len(set(got)) == 1 + 2 + 3 + 4
+
+
+def test_interleave_opens_shards_lazily_through_the_module_global(monkeypatch):
+    calls, live, peak = [], set(), []
+
+    def fake_read_shard(path):
+        calls.append(path)
+        live.add(path)
+        peak.append(len(live))
+
+        def records():
+            yield from path.split()
+            live.discard(path)
+        return records()
+
+    monkeypatch.setattr(pipeline, "read_shard", fake_read_shard)
+    paths = ["A1 A2", "", "B1", "C1 C2 C3", "D1"]
+    stream = interleave(paths, 2)
+    assert next(stream) == "A1"
+    assert calls == paths[:2]  # only the first cycle is open
+    assert list(stream) == ["B1", "A2", "C1", "D1", "C2", "C3"]
+    assert calls == paths and max(peak) == 2
+
+
+@pytest.mark.parametrize("sizes", [[0, 3, 6, 1, 2], [6, 0, 0, 4, 1], [2, 2, 2, 2, 2]])
+def test_round_robin_over_every_source_sweeps_one_item_each_per_round(sizes):
+    sources = [[(i, j) for j in range(n)] for i, n in enumerate(sizes)]
+
+    def sweep(srcs):
+        return [src[j] for j in range(max(sizes)) for src in srcs if j < len(src)]
+
+    for srcs in (sources, sources[::-1]):
+        assert list(round_robin(srcs)) == sweep(srcs)
+    assert list(round_robin(sources, len(sources))) == sweep(sources)
 
 
 def test_shuffle_buffer_one_is_identity():
