@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import Waveform, thread_scratch
 from .errors import (ConfigurationError, DegenerateGeometryError,
                      DegenerateSignalError)
 from .recordio import UtteranceRecord
@@ -216,7 +216,11 @@ def compute_rir(room: RoomSpec, sample_rate: int, *,
 
 
 def apply_rir(w: Waveform, h: ImpulseResponse) -> Waveform:
-    """Convolve with the impulse response, truncated to the input length."""
+    """Convolve with the impulse response, truncated to the input length.
+
+    The transforms are computed in the calling thread's scratch
+    (dsp.thread_scratch); the result is a fresh array.
+    """
     if w.sample_rate != h.sample_rate:
         raise ValueError(
             f"sample-rate mismatch: waveform {w.sample_rate}, RIR {h.sample_rate}")
@@ -225,7 +229,10 @@ def apply_rir(w: Waveform, h: ImpulseResponse) -> Waveform:
         out = (x * taps)[:len(x)]  # no transform, as fftconvolve does
     else:
         n = _next_fast_len(len(x) + len(taps) - 1)
-        out = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(taps, n), n)[:len(x)]
+        _, a, b, _ = thread_scratch()
+        spectrum = np.fft.rfft(x, n, out=a.array((n // 2 + 1,), np.complex128))
+        spectrum *= np.fft.rfft(taps, n, out=b.array((n // 2 + 1,), np.complex128))
+        out = np.fft.irfft(spectrum, n, out=b.array((n,)))[:len(x)].copy()
     return Waveform(out, w.sample_rate)
 
 

@@ -10,6 +10,8 @@ and no feature-range clipping is applied anywhere.
 from __future__ import annotations
 
 import functools
+import math
+import threading
 import wave as _wave
 from dataclasses import dataclass
 
@@ -97,9 +99,65 @@ class FeatureMatrix:
     kind: str  # "mel_energy" | "power_mel" | "mfcc"
 
 
+class Scratch:
+    """A grow-only buffer to compute in, reused from call to call.
+
+    array() returns a view of the buffer's leading bytes, reallocating only
+    when asked for more bytes than it holds, so a caller that reuses one
+    Scratch over inputs of many sizes allocates a few times at most. Every
+    array() call hands out the same memory: the previous view's contents
+    are spent.
+    """
+
+    __slots__ = ("_bytes",)
+
+    def __init__(self):
+        self._bytes = np.empty(0, dtype=np.uint8)
+
+    def array(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if self._bytes.nbytes < nbytes:
+            # a power-of-two capacity reallocates only when the request
+            # doubles; the pages past it stay untouched, costing address
+            # space but no memory
+            self._bytes = np.empty(1 << (nbytes - 1).bit_length(), dtype=np.uint8)
+        return self._bytes[:nbytes].view(dtype).reshape(shape)
+
+
+_thread = threading.local()
+
+
+def thread_scratch() -> tuple[Scratch, Scratch, Scratch, Scratch]:
+    """The calling thread's own scratch: one signal-sized buffer, then three
+    frame-sized ones.
+
+    The per-record stages (VTLP, the room convolution, power-mel features)
+    run one after another on a thread and share these, so a thread keeps at
+    most three frame-sized buffers, sized to the longest input it has seen.
+    A stage uses them only until it returns, and returns nothing that views
+    them.
+    """
+    buffers = getattr(_thread, "buffers", None)
+    if buffers is None:
+        buffers = _thread.buffers = (Scratch(), Scratch(), Scratch(), Scratch())
+    return buffers
+
+
+def _empty(scratch: Scratch | None, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialised array in scratch, or a fresh one without it."""
+    return np.empty(shape, dtype) if scratch is None else scratch.array(shape, dtype)
+
+
+@functools.lru_cache(maxsize=16)
 def hann_periodic(n: int) -> np.ndarray:
-    """Periodic Hann window; sums of shifted squares are flat for hop <= n/2."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    """Periodic Hann window; sums of shifted squares are flat for hop <= n/2.
+
+    Cached per length; treat the returned array as read-only.
+    """
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.setflags(write=False)
+    return window
 
 
 def feature_config(sample_rate: int, window_ms: float = DEFAULT_WINDOW_MS,
@@ -112,11 +170,17 @@ def feature_config(sample_rate: int, window_ms: float = DEFAULT_WINDOW_MS,
     return StftConfig(window_ms=window_ms, hop_ms=hop_ms, dft_size=k)
 
 
-def stft(w: Waveform, cfg: StftConfig) -> Spectrogram:
+def stft(w: Waveform, cfg: StftConfig, *,
+         scratch: tuple[Scratch, Scratch] | None = None) -> Spectrogram:
     """Short-time Fourier transform.
 
     Frame m covers samples [m*hop, m*hop + window), windowed and zero-padded
     to dft_size before the transform.
+
+    Without scratch the result is freshly allocated. With scratch (two
+    distinct buffers, neither holding w.samples) the windowed frames are
+    computed in the first and the spectra in the second, which the returned
+    Spectrogram views. The bits are the same either way.
     """
     cfg.validate(w.sample_rate)
     win = cfg.window_samples(w.sample_rate)
@@ -124,12 +188,18 @@ def stft(w: Waveform, cfg: StftConfig) -> Spectrogram:
     n = len(w.samples)
     if n < win:
         raise ValueError(f"waveform ({n} samples) shorter than one window ({win})")
-    frames = sliding_window_view(w.samples, win)[::hop] * hann_periodic(win)
-    spectra = np.fft.rfft(frames, n=cfg.dft_size, axis=1)
+    frames_buf, spectra_buf = scratch or (None, None)
+    num_frames = 1 + (n - win) // hop
+    frames = np.multiply(sliding_window_view(w.samples, win)[::hop], hann_periodic(win),
+                         out=_empty(frames_buf, (num_frames, win)))
+    spectra = np.fft.rfft(frames, n=cfg.dft_size, axis=1,
+                          out=_empty(spectra_buf, (num_frames, cfg.dft_size // 2 + 1),
+                                     np.complex128))
     return Spectrogram(spectra, cfg, w.sample_rate)
 
 
-def istft(s: Spectrogram) -> Waveform:
+def istft(s: Spectrogram, *,
+          scratch: tuple[Scratch, Scratch, Scratch] | None = None) -> Waveform:
     """Weighted overlap-add inverse of stft.
 
     Output length is the analysis span (num_frames-1)*hop + window. Samples
@@ -144,6 +214,13 @@ def istft(s: Spectrogram) -> Waveform:
     to 0 visits each sample's frames in ascending m. A last partial chunk (hop not dividing
     the window) is added by slicing, never as zero padding, so no sample
     gains an extra +0.0 term. The result is bit-identical to that loop.
+
+    Without scratch the result is freshly allocated. With scratch (three
+    distinct buffers) the inverse-transformed frames are computed in the
+    first, and the overlap-add sum and weights in the second and third,
+    which are written only after s.frames has been read: s.frames may live
+    in either of those two, but not in the first. The returned Waveform
+    views the second.
     """
     cfg = s.config
     cfg.validate(s.sample_rate)
@@ -151,12 +228,17 @@ def istft(s: Spectrogram) -> Waveform:
     hop = cfg.hop_samples(s.sample_rate)
     num_frames = s.num_frames
     span = (num_frames - 1) * hop + win
+    frames_buf, out_buf, norm_buf = scratch or (None, None, None)
     window = hann_periodic(win)
-    frames = np.fft.irfft(s.frames, n=cfg.dft_size, axis=1)[:, :win] * window
+    frames = np.fft.irfft(s.frames, n=cfg.dft_size, axis=1,
+                          out=_empty(frames_buf, (num_frames, cfg.dft_size)))[:, :win]
+    np.multiply(frames, window, out=frames)
     weight = window * window
     chunks = -(-win // hop)
-    out = np.zeros((num_frames + chunks - 1, hop))
-    norm = np.zeros((num_frames + chunks - 1, hop))
+    out = _empty(out_buf, (num_frames + chunks - 1, hop))
+    out.fill(0.0)
+    norm = _empty(norm_buf, (num_frames + chunks - 1, hop))
+    norm.fill(0.0)
     for j in range(chunks - 1, -1, -1):
         lo = j * hop
         width = min(hop, win - lo)
@@ -172,7 +254,7 @@ def istft(s: Spectrogram) -> Waveform:
             raise ConfigurationError(
                 "window/hop pair does not satisfy overlap-add reconstruction")
     good = norm > 1e-12
-    out[good] /= norm[good]
+    np.divide(out, norm, out=out, where=good)
     out[~good] = 0.0
     return Waveform(out, s.sample_rate)
 
@@ -211,9 +293,14 @@ def mel_filterbank(num_filters: int, num_bins: int, sample_rate: int,
 
 
 def mel_energies(s: Spectrogram, num_filters: int = DEFAULT_NUM_FILTERS,
-                 fmin: float = DEFAULT_FMIN, fmax: float = DEFAULT_FMAX) -> FeatureMatrix:
-    """Triangular mel filters applied to the power spectrum |X|^2."""
-    power = np.abs(s.frames) ** 2
+                 fmin: float = DEFAULT_FMIN, fmax: float = DEFAULT_FMAX, *,
+                 scratch: Scratch | None = None) -> FeatureMatrix:
+    """Triangular mel filters applied to the power spectrum |X|^2.
+
+    With scratch (not holding s.frames) the power spectrum is computed in it.
+    """
+    power = np.abs(s.frames, out=_empty(scratch, s.frames.shape))
+    np.square(power, out=power)
     fb = mel_filterbank(num_filters, power.shape[1], s.sample_rate, fmin, fmax)
     return FeatureMatrix(power @ fb.T, "mel_energy")
 
@@ -242,9 +329,15 @@ def mfcc(e: FeatureMatrix, num_ceps: int = 13) -> FeatureMatrix:
 def extract_power_mel(w: Waveform, cfg: StftConfig | None = None,
                       num_filters: int = DEFAULT_NUM_FILTERS,
                       fmin: float = DEFAULT_FMIN, fmax: float = DEFAULT_FMAX) -> FeatureMatrix:
-    """Waveform to power-mel filterbank coefficients with front-end defaults."""
+    """Waveform to power-mel filterbank coefficients with front-end defaults.
+
+    Computes in the calling thread's scratch (thread_scratch).
+    """
     cfg = cfg or feature_config(w.sample_rate)
-    return power_mel_features(mel_energies(stft(w, cfg), num_filters, fmin, fmax))
+    _, frames_buf, spectra_buf, _ = thread_scratch()
+    spectra = stft(w, cfg, scratch=(frames_buf, spectra_buf))
+    return power_mel_features(mel_energies(spectra, num_filters, fmin, fmax,
+                                           scratch=frames_buf))
 
 
 def extract_mfcc(w: Waveform, cfg: StftConfig | None = None,

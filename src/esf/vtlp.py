@@ -9,6 +9,14 @@ bijection of [0, pi] with fixed endpoints. Utterances are warped in the
 spectral domain (its own 50 ms analysis window, independent of the feature
 front end) and resynthesized by overlap-add, so acoustic simulation can run
 on the already-warped waveform.
+
+Resynthesis computes in the calling thread's scratch (dsp.thread_scratch):
+one buffer for the padded signal and three frame-sized ones that each step
+hands on to the next once their contents are spent. The buffers are per
+thread and grow-only, to fit the longest utterance the thread has seen, so
+a thread that warps many utterances allocates its frame-sized arrays about
+once instead of once per utterance. No buffer escapes a public function:
+vtlp_resynthesize returns a fresh copy.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, StftConfig, Waveform, istft, stft
+from .dsp import (Scratch, Spectrogram, StftConfig, Waveform, _empty, istft, stft,
+                  thread_scratch)
 from .errors import ConfigurationError
 
 DEFAULT_ALPHA_RANGE = (0.8, 1.2)
@@ -57,10 +66,14 @@ class VtlpResult:
     applied: bool
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"warp factor must lie in (0, 2), got {alpha}")
+
+
 def warp_frequency(omega, alpha: float):
     """Warped frequency for omega in [0, pi]. Accepts scalars or arrays."""
-    if alpha <= 0.0:
-        raise ValueError(f"warp factor must be positive, got {alpha}")
+    _check_alpha(alpha)
     om = np.asarray(omega, dtype=np.float64)
     if om.size and (om.min() < 0.0 or om.max() > np.pi):
         raise ValueError("frequencies must lie in [0, pi]")
@@ -81,6 +94,7 @@ def invert_warp(omega_target, alpha: float, tol: float = BISECTION_TOL):
     Bisection on the monotone map; the fixed endpoints guarantee a root for
     any target in [0, pi]. Accepts scalars or arrays.
     """
+    _check_alpha(alpha)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     target = np.asarray(omega_target, dtype=np.float64)
@@ -144,20 +158,32 @@ def warp_spectrum(frame: np.ndarray, alpha: float) -> np.ndarray:
     frame = np.asarray(frame)
     if frame.ndim != 1 or frame.shape[0] < 2:
         raise ValueError("frame must be a half-spectrum of length K/2 + 1 >= 2")
+    _check_alpha(alpha)
     pos = _source_positions(frame.shape[0], alpha)
     return _interp_frames(frame[None, :], pos)[0]
 
 
-def _interp_frames(frames: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Complex linear interpolation of each row at fractional bin positions."""
+def _interp_frames(frames: np.ndarray, pos: np.ndarray,
+                   scratch: tuple[Scratch, Scratch] | None = None) -> np.ndarray:
+    """Complex linear interpolation of each row at fractional bin positions.
+
+    With scratch (two distinct buffers, neither holding frames) the result is
+    computed in the first, which it views, and the upper neighbours in the
+    second.
+    """
     n = frames.shape[1]
     idx = np.minimum(np.floor(pos).astype(np.int64), n - 2)
     frac = pos - idx
+    out_buf, upper_buf = scratch or (None, None)
     # numpy multiplies complex by real through the complex loop anyway, so
-    # weights cast up front keep every bit while the products run in place
-    out = np.take(frames, idx, axis=1)
+    # weights cast up front keep every bit while the products run in place;
+    # idx lies in [0, n - 2], so mode="clip" changes no index and spares
+    # take() the copy it makes of out= under the default mode="raise"
+    out = np.take(frames, idx, axis=1, out=_empty(out_buf, frames.shape, np.complex128),
+                  mode="clip")
     out *= (1.0 - frac).astype(np.complex128)
-    upper = np.take(frames, idx + 1, axis=1)
+    upper = np.take(frames, idx + 1, axis=1,
+                    out=_empty(upper_buf, frames.shape, np.complex128), mode="clip")
     upper *= frac.astype(np.complex128)
     out += upper
     out[:, 0] = out[:, 0].real
@@ -184,8 +210,7 @@ def vtlp_resynthesize(w: Waveform, spec: WarpSpec | None = None, *,
         raise ValueError("pass exactly one of alpha or rng")
     if alpha is None:
         alpha = sample_alpha(spec, rng)
-    if alpha <= 0.0:
-        raise ValueError(f"warp factor must be positive, got {alpha}")
+    _check_alpha(alpha)
     cfg = spec.stft_config()
     win = cfg.window_samples(w.sample_rate)
     n = len(w.samples)
@@ -194,10 +219,16 @@ def vtlp_resynthesize(w: Waveform, spec: WarpSpec | None = None, *,
     # pad one window on each side so every original sample sits in the
     # fully-overlapped interior, then crop back to the input length
     hop = cfg.hop_samples(w.sample_rate)
-    padded = np.concatenate([np.zeros(win), w.samples, np.zeros(win + hop)])
-    spec_in = stft(Waveform(padded, w.sample_rate), cfg)
+    signal, a, b, c = thread_scratch()
+    padded = signal.array((n + 2 * win + hop,))
+    padded[:win] = 0.0
+    padded[win:win + n] = w.samples
+    padded[win + n:] = 0.0
+    # spectra land in b, the warped spectra in c, and istft sums into b and c
+    # once it has read c; a takes each step's short-lived temporary
+    spec_in = stft(Waveform(padded, w.sample_rate), cfg, scratch=(a, b))
     pos = _source_positions(spec_in.frames.shape[1], alpha)
-    warped = _interp_frames(spec_in.frames, pos)
-    out = istft(Spectrogram(warped, spec_in.config, spec_in.sample_rate))
-    samples = out.samples[win:win + n]
+    warped = _interp_frames(spec_in.frames, pos, scratch=(c, a))
+    out = istft(Spectrogram(warped, spec_in.config, spec_in.sample_rate), scratch=(a, b, c))
+    samples = out.samples[win:win + n].copy()
     return VtlpResult(Waveform(samples, w.sample_rate), alpha, True)

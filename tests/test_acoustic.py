@@ -254,6 +254,18 @@ def test_apply_rir_bit_identical_to_fftconvolve():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, m)
 
 
+def test_apply_rir_result_keeps_its_bits_after_a_longer_call():
+    rng = np.random.default_rng(12)
+    h = acoustic.ImpulseResponse(rng.standard_normal(300), 16000)
+    # a long call first, so that the later calls reuse this thread's buffers
+    acoustic.apply_rir(Waveform(rng.standard_normal(60000), 16000), h)
+    first = acoustic.apply_rir(Waveform(rng.standard_normal(4000), 16000), h).samples
+    kept = first.copy()
+    second = acoustic.apply_rir(Waveform(rng.standard_normal(40000), 16000), h).samples
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first.view(np.uint64), kept.view(np.uint64))
+
+
 def test_next_fast_len_is_scipys_real_choice():
     import scipy.fft
 

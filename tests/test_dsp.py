@@ -145,6 +145,66 @@ def test_stft_istft_bit_identical_to_gather_and_loop(window_ms, hop_ms, dft,
     assert np.array_equal(bits(dsp.istft(s).samples), bits(istft_loop_oracle(s)))
 
 
+@pytest.mark.parametrize("window_ms,hop_ms,dft", [(50.0, 12.5, 1024), (30.0, 20.0, 512)])
+def test_stft_istft_in_reused_scratch_give_the_fresh_bits(window_ms, hop_ms, dft):
+    # lengths go up, down and up again, so the buffers are both grown and
+    # reused with stale contents from a longer input
+    cfg = dsp.StftConfig(window_ms=window_ms, hop_ms=hop_ms, dft_size=dft)
+    a, b, c = dsp.Scratch(), dsp.Scratch(), dsp.Scratch()
+    for n, seed in [(4000, 1), (20000, 2), (900, 3), (20000, 4), (33333, 5)]:
+        w = rand_wave(n, seed=seed)
+        fresh = dsp.stft(w, cfg)
+        in_scratch = dsp.stft(w, cfg, scratch=(a, b))
+        assert np.array_equal(bits(in_scratch.frames), bits(fresh.frames))
+        # the spectra may share the sum's or the weights' buffer
+        assert np.array_equal(bits(dsp.istft(in_scratch, scratch=(a, b, c)).samples),
+                              bits(dsp.istft(fresh).samples))
+
+
+def test_results_keep_their_bits_after_a_longer_call():
+    cfg = dsp.StftConfig()
+    # a long call first, so that the later calls reuse this thread's buffers
+    dsp.extract_power_mel(rand_wave(80000, seed=0))
+    short = rand_wave(4000, seed=1)
+    spectra = dsp.stft(short, cfg).frames
+    feats = dsp.extract_power_mel(short).values
+    kept = spectra.copy(), feats.copy()
+    longer = rand_wave(40000, seed=2)
+    dsp.istft(dsp.stft(longer, cfg))
+    assert not np.shares_memory(feats, dsp.extract_power_mel(longer).values)
+    assert np.array_equal(bits(spectra), bits(kept[0]))
+    assert np.array_equal(bits(feats), bits(kept[1]))
+
+
+def test_power_mel_in_thread_scratch_gives_the_fresh_bits():
+    cfg = dsp.feature_config(16000)
+    for n, seed in [(4000, 1), (30000, 2), (900, 3)]:
+        w = rand_wave(n, seed=seed)
+        power = np.abs(stft_gather_oracle(w, cfg)) ** 2
+        fb = dsp.mel_filterbank(dsp.DEFAULT_NUM_FILTERS, power.shape[1], 16000,
+                                dsp.DEFAULT_FMIN, dsp.DEFAULT_FMAX)
+        want = np.power(power @ fb.T, dsp.POWER_LAW_EXPONENT)
+        assert np.array_equal(bits(dsp.extract_power_mel(w).values), bits(want))
+
+
+def test_scratch_grows_only_and_reuses_its_memory():
+    buf = dsp.Scratch()
+    big = buf.array((100, 7), np.complex128)
+    small = buf.array((3, 5))
+    assert small.shape == (3, 5) and small.dtype == np.float64
+    assert np.shares_memory(big, small)
+    bigger = buf.array((200, 7), np.complex128)
+    assert not np.shares_memory(big, bigger)
+    assert np.shares_memory(bigger, buf.array((100, 7), np.complex128))
+
+
+def test_hann_window_is_cached_and_read_only():
+    window = dsp.hann_periodic(400)
+    assert dsp.hann_periodic(400) is window
+    with pytest.raises(ValueError):
+        window[0] = 1.0
+
+
 def test_parseval_per_frame():
     cfg = dsp.StftConfig()
     sr = 16000

@@ -559,37 +559,36 @@ def test_corrupted_batch_payload_surfaces_crc_error(corpus):
 
     def proxy_loop():
         client_sock, _ = proxy.accept()
-        upstream = socket.create_connection(endpoint, timeout=10)
+        with client_sock, socket.create_connection(endpoint, timeout=10) as upstream:
 
-        def pump_up():
+            def pump_up():
+                while True:
+                    try:
+                        data = client_sock.recv(4096)
+                        if not data:
+                            return
+                        upstream.sendall(data)
+                    except OSError:
+                        return
+
+            threading.Thread(target=pump_up, daemon=True).start()
+            flipped = False
             while True:
                 try:
-                    data = client_sock.recv(4096)
+                    data = upstream.recv(4096)
                 except OSError:
                     return
                 if not data:
                     return
-                upstream.sendall(data)
-
-        threading.Thread(target=pump_up, daemon=True).start()
-        flipped = False
-        while True:
-            try:
-                data = upstream.recv(4096)
-            except OSError:
-                return
-            if not data:
-                client_sock.close()
-                return
-            if not flipped and len(data) > 600:
-                corrupted = bytearray(data)
-                corrupted[500] ^= 0x10
-                data = bytes(corrupted)
-                flipped = True
-            try:
-                client_sock.sendall(data)
-            except OSError:
-                return
+                if not flipped and len(data) > 600:
+                    corrupted = bytearray(data)
+                    corrupted[500] ^= 0x10
+                    data = bytes(corrupted)
+                    flipped = True
+                try:
+                    client_sock.sendall(data)
+                except OSError:
+                    return
 
     threading.Thread(target=proxy_loop, daemon=True).start()
     consumer = connect_consumer(("127.0.0.1", proxy_port))

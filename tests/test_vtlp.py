@@ -1,5 +1,9 @@
 """Bilinear frequency warping and resynthesis."""
 
+import resource
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -201,3 +205,91 @@ def test_resynthesize_needs_exactly_one_of_alpha_rng():
     with pytest.raises(ValueError):
         vtlp.vtlp_resynthesize(w, vtlp.WarpSpec(), alpha=1.0,
                                rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 2.0, 2.5])
+@pytest.mark.parametrize("call", [
+    lambda a: vtlp.warp_frequency(1.0, a),
+    lambda a: vtlp.invert_warp(1.0, a),
+    lambda a: vtlp.warp_spectrum(np.ones(513, dtype=complex), a),
+    lambda a: vtlp.vtlp_resynthesize(dsp.Waveform(np.zeros(16000), 16000), alpha=a),
+], ids=["warp_frequency", "invert_warp", "warp_spectrum", "vtlp_resynthesize"])
+def test_warp_factor_outside_open_interval_rejected(call, alpha):
+    with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        call(alpha)
+
+
+def utterances(seed, count):
+    """count noise utterances of 1-3 s at 16 kHz."""
+    rng = np.random.default_rng(seed)
+    return [dsp.Waveform(rng.standard_normal(int(16000 * d)) * 0.2, 16000)
+            for d in rng.uniform(1.0, 3.0, count)]
+
+
+def u64(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_resynthesis_result_keeps_its_bits_after_a_longer_call():
+    # a long call first, so that the later calls reuse this thread's buffers
+    vtlp.vtlp_resynthesize(dsp.Waveform(np.ones(48000) * 0.1, 16000), alpha=1.0)
+    short = dsp.Waveform(np.sin(np.arange(20000) * 0.1) * 0.3, 16000)
+    longer = dsp.Waveform(np.cos(np.arange(30000) * 0.2) * 0.3, 16000)
+    first = vtlp.vtlp_resynthesize(short, alpha=0.9).waveform.samples
+    kept = first.copy()
+    second = vtlp.vtlp_resynthesize(longer, alpha=1.1).waveform.samples
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(u64(first), u64(kept))
+
+
+def test_concurrent_resynthesis_matches_serial_bits():
+    inputs = [utterances(seed, 6) for seed in (21, 22)]
+    alphas = [0.8 + 0.07 * i for i in range(6)]
+    serial = [[vtlp.vtlp_resynthesize(w, alpha=a).waveform.samples
+               for w, a in zip(ws, alphas)] for ws in inputs]
+    results: list[list] = [[], []]
+    start = threading.Barrier(2, timeout=30)
+
+    def run(k):
+        start.wait()
+        for _ in range(3):
+            results[k].append([vtlp.vtlp_resynthesize(w, alpha=a).waveform.samples
+                               for w, a in zip(inputs[k], alphas)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in (0, 1):
+        assert len(results[k]) == 3
+        for run_out in results[k]:
+            for got, want in zip(run_out, serial[k]):
+                assert np.array_equal(u64(got), u64(want))
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"),
+                    reason="per-thread rusage is Linux-only")
+def test_resynthesis_stops_page_faulting_once_warm():
+    waves = utterances(31, 22)
+    faults = []
+
+    def run():
+        for w in waves[:2]:
+            vtlp.vtlp_resynthesize(w, alpha=0.9)
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        for i, w in enumerate(waves[2:]):
+            vtlp.vtlp_resynthesize(w, alpha=0.85 + 0.015 * i)
+        faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    assert faults[0] / 20 < 100
