@@ -48,12 +48,12 @@ class Waveform:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters. dft_size must be a power of two covering the window."""
+    """Periodic-Hann analysis parameters. dft_size must be a power of two covering
+    the window."""
 
     window_ms: float = DEFAULT_WINDOW_MS
     hop_ms: float = DEFAULT_HOP_MS
     dft_size: int = 512
-    window: str = "hann"
 
     def window_samples(self, sample_rate: int) -> int:
         return int(round(self.window_ms * sample_rate / 1000.0))
@@ -74,8 +74,6 @@ class StftConfig:
                 f"dft_size ({self.dft_size}) must cover the window ({win} samples)")
         if self.dft_size & (self.dft_size - 1):
             raise ConfigurationError(f"dft_size must be a power of two, got {self.dft_size}")
-        if self.window != "hann":
-            raise ConfigurationError(f"unknown window function {self.window!r}")
 
 
 @dataclass

@@ -80,58 +80,27 @@ def merge_streams(consumers: Sequence[Iterable]) -> Iterator:
 
 
 def ring_allreduce(grads: Sequence[GradientVector | np.ndarray]) -> list[GradientVector]:
-    """Chunked ring allreduce: scatter-reduce then all-gather, 2(W-1) steps.
+    """The sum a chunked ring allreduce delivers, one copy per worker.
 
-    Every worker ends up with the elementwise sum, bitwise identical across
-    workers and equal to direct summation: each chunk's contributions are
-    reduced in worker-id order no matter where they travel in the ring.
+    A ring (scatter-reduce then all-gather, 2(W-1) steps) that reduces every
+    chunk's contributions in a fixed order gives each worker the same bits:
+    the elementwise sum taken in ascending worker order (the order grads are
+    given, which is the worker id for plain arrays). That sum is computed
+    here directly.
     """
     vecs = [g if isinstance(g, GradientVector) else GradientVector(g, i)
             for i, g in enumerate(grads)]
-    w = len(vecs)
-    if w == 0:
+    if not vecs:
         raise ValueError("need at least one worker")
     length = vecs[0].values.shape[0]
     for g in vecs:
         if g.values.shape != (length,):
             raise ValueError(
                 f"worker {g.worker_id}: gradient length {g.values.shape} != ({length},)")
-    if w == 1:
-        return [GradientVector(vecs[0].values.copy(), vecs[0].worker_id)]
-
-    bounds = np.linspace(0, length, w + 1).astype(int)
-    chunks = [slice(bounds[i], bounds[i + 1]) for i in range(w)]
-    # contributions[worker][chunk] = set of source workers whose values the
-    # local copy of that chunk currently represents
-    contrib = [[{i} for _ in range(w)] for i in range(w)]
-
-    def reduced(sources: set[int], chunk: slice) -> np.ndarray:
-        # fixed reduction order: ascending worker id
-        out = vecs[min(sources)].values[chunk].copy()
-        for src in sorted(sources)[1:]:
-            out = out + vecs[src].values[chunk]
-        return out
-
-    # scatter-reduce: after step s, worker (c + s + 1) % w holds chunk c
-    # reduced over s + 1 contiguous sources
-    for step in range(w - 1):
-        transfers = []
-        for src_worker in range(w):
-            c = (src_worker - step) % w
-            transfers.append((src_worker, (src_worker + 1) % w, c))
-        for src_worker, dst_worker, c in transfers:
-            contrib[dst_worker][c] = contrib[dst_worker][c] | contrib[src_worker][c]
-    # all-gather: after w-1 steps chunk c is fully reduced at worker
-    # (c + w - 1) % w; circulate each owner's chunk to everyone
-    results = [np.empty(length) for _ in range(w)]
-    for c in range(w):
-        owner = (c + w - 1) % w
-        if len(contrib[owner][c]) != w:
-            raise AssertionError("ring schedule failed to reduce a chunk fully")
-        full = reduced(contrib[owner][c], chunks[c])
-        for dst in range(w):
-            results[dst][chunks[c]] = full
-    return [GradientVector(results[i], vecs[i].worker_id) for i in range(w)]
+    total = vecs[0].values.copy()
+    for g in vecs[1:]:
+        total = total + g.values
+    return [GradientVector(total.copy(), g.worker_id) for g in vecs]
 
 
 def clip_by_global_norm(grads: Sequence[GradientVector],

@@ -19,8 +19,10 @@ from .errors import FormatError
 # a zero-initialised CRC unchanged); each block's CRC is one gather from the
 # position tables plus an XOR reduction, and the blocks are folded pairwise
 # with "advance by 256 * 2**k zero bytes" operators, as in zlib's
-# crc32_combine. The initial register is advanced over the whole message with
-# the same operators and XORed in.
+# crc32_combine. A CRC run from register R equals a CRC run from zero on the
+# message with R's bytes, LSB first, XORed into its first four bytes; when the
+# message is shorter, the bytes of R it does not reach shift straight into the
+# result.
 
 _CRC32C_POLY = 0x82F63B78  # Castagnoli polynomial, reflected form
 _U32 = np.dtype("<u4")  # registers are viewed as their 4 bytes, LSB first
@@ -72,6 +74,10 @@ def crc32c(data, value: int = 0) -> int:
     nblocks = -(-n // _BLOCK)
     padded = np.zeros(nblocks * _BLOCK, dtype=np.uint8)
     padded[padded.size - n:] = buf
+    register = value ^ 0xFFFFFFFF
+    k = min(n, 4)
+    padded[padded.size - n:padded.size - n + k] ^= np.frombuffer(
+        register.to_bytes(4, "little"), dtype=np.uint8)[:k]
     rows = padded.reshape(-1, _BLOCK)
     # leading zero blocks up to a power of two fold away, like the padding
     crcs = np.zeros(1 << max(nblocks - 1, 0).bit_length(), dtype=_U32)
@@ -83,11 +89,7 @@ def crc32c(data, value: int = 0) -> int:
     while crcs.size > 1:
         crcs = _advance(_ADVANCE[level], crcs[0::2]) ^ crcs[1::2]
         level += 1
-    register = np.array([value ^ 0xFFFFFFFF], dtype=_U32)
-    for i in range(n.bit_length()):
-        if n >> i & 1:
-            register = _advance(_ADVANCE[i], register)
-    return int(crcs[0] ^ register[0]) ^ 0xFFFFFFFF
+    return int(crcs[0]) ^ (register >> 8 * k) ^ 0xFFFFFFFF
 
 
 def hash64(*parts: int) -> int:

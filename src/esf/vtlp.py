@@ -5,10 +5,14 @@ The warp maps input frequency w in [0, pi] to
     w' = w + 2*atan( (1-a)*sin(w) / (1 - (1-a)*cos(w)) )
 
 with warping factor a. For a in (0, 2) the map is a strictly increasing
-bijection of [0, pi] with fixed endpoints. Utterances are warped in the
-spectral domain (its own 50 ms analysis window, independent of the feature
-front end) and resynthesized by overlap-add, so acoustic simulation can run
-on the already-warped waveform.
+bijection of [0, pi] with fixed endpoints. It is the phase of a first-order
+all-pass, and these warps form a group (Oppenheim & Johnson, "Discrete
+representation of signals", Proc. IEEE 1972): the warp by 2 - a undoes the
+warp by a, so invert_warp is that warp, in closed form.
+
+Utterances are warped in the spectral domain (its own 50 ms analysis
+window, independent of the feature front end) and resynthesized by
+overlap-add, so acoustic simulation can run on the already-warped waveform.
 
 Resynthesis computes in the calling thread's scratch (dsp.thread_scratch):
 one buffer for the padded signal and three frame-sized ones that each step
@@ -30,7 +34,6 @@ from .dsp import (Scratch, Spectrogram, StftConfig, Waveform, _empty, istft, stf
 from .errors import ConfigurationError
 
 DEFAULT_ALPHA_RANGE = (0.8, 1.2)
-BISECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,61 +86,11 @@ def warp_frequency(omega, alpha: float):
     return float(out) if np.isscalar(omega) else out
 
 
-def _warp_raw(om: np.ndarray, alpha: float) -> np.ndarray:
-    a = 1.0 - alpha
-    return om + 2.0 * np.arctan2(a * np.sin(om), 1.0 - a * np.cos(om))
-
-
-def invert_warp(omega_target, alpha: float, tol: float = BISECTION_TOL):
-    """Find omega with warp_frequency(omega, alpha) == omega_target within tol.
-
-    Bisection on the monotone map; the fixed endpoints guarantee a root for
-    any target in [0, pi]. Accepts scalars or arrays.
-    """
+def invert_warp(omega_target, alpha: float):
+    """The omega in [0, pi] that warp_frequency(omega, alpha) maps to omega_target:
+    the warp by 2 - alpha. Accepts scalars or arrays."""
     _check_alpha(alpha)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    target = np.asarray(omega_target, dtype=np.float64)
-    if target.size and (target.min() < 0.0 or target.max() > np.pi):
-        raise ValueError("target frequencies must lie in [0, pi]")
-    if alpha == 1.0:
-        out = target.copy()
-        return float(out) if np.isscalar(omega_target) else out
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, np.pi)
-    # pi / 2^k < tol after ~32 halvings at tol=1e-9
-    steps = int(np.ceil(np.log2(np.pi / tol)))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = _warp_raw(mid, alpha) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    return float(out) if np.isscalar(omega_target) else out
-
-
-def _invert_warp_fast(target: np.ndarray, alpha: float,
-                      tol: float = BISECTION_TOL) -> np.ndarray:
-    """Newton refinement of a coarse-grid seed; falls back to bisection for
-    any point whose verified residual misses tol. Same roots as invert_warp
-    to within tol, an order of magnitude cheaper on full-spectrum batches."""
-    if alpha == 1.0:
-        return target.copy()
-    grid = np.linspace(0.0, np.pi, 257)
-    warped = _warp_raw(grid, alpha)
-    warped[0], warped[-1] = 0.0, np.pi
-    om = np.interp(target, warped, grid)
-    a = 1.0 - alpha
-    one_minus_a2 = 1.0 - a * a
-    for _ in range(3):
-        cos = np.cos(om)
-        residual = om + 2.0 * np.arctan2(a * np.sin(om), 1.0 - a * cos) - target
-        slope = one_minus_a2 / (1.0 - 2.0 * a * cos + a * a)
-        om = np.clip(om - residual / slope, 0.0, np.pi)
-    bad = np.abs(_warp_raw(om, alpha) - target) > tol
-    if np.any(bad):
-        om[bad] = invert_warp(target[bad], alpha, tol)
-    return om
+    return warp_frequency(omega_target, 2.0 - alpha)
 
 
 def _source_positions(num_bins: int, alpha: float) -> np.ndarray:
@@ -145,7 +98,7 @@ def _source_positions(num_bins: int, alpha: float) -> np.ndarray:
     k = 2 * (num_bins - 1)
     omega_out = np.arange(num_bins) * (2.0 * np.pi / k)
     omega_out[-1] = np.pi  # guard against rounding past the domain edge
-    omega_src = _invert_warp_fast(omega_out, alpha)
+    omega_src = invert_warp(omega_out, alpha)
     return omega_src * (k / (2.0 * np.pi))
 
 

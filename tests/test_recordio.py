@@ -37,9 +37,11 @@ def test_crc32c_matches_bitwise_reference():
         assert crc32c(data) == crc32c_bitwise(data)
 
 
-# lengths on both sides of the 256-byte block edges, and a few blocks long
-_crc_lengths = st.one_of(st.sampled_from([0, 1, 2, 255, 256, 257, 511, 512, 513]),
-                         st.integers(0, 2100))
+# lengths on both sides of the 4-byte register and the 256-byte block edges,
+# and a few blocks long
+_crc_lengths = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 5, 255, 256, 257, 511, 512, 513]),
+    st.integers(0, 2100))
 _crc_data = _crc_lengths.flatmap(lambda n: st.binary(min_size=n, max_size=n))
 
 

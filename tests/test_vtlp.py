@@ -62,8 +62,31 @@ def test_invert_then_forward_composition():
     for _ in range(50):
         alpha = float(rng.uniform(0.55, 1.45))
         target = float(rng.uniform(0.0, np.pi))
-        omega = vtlp.invert_warp(target, alpha, tol=1e-9)
+        omega = vtlp.invert_warp(target, alpha)
         assert abs(vtlp.warp_frequency(omega, alpha) - target) <= 1e-8
+
+
+def bisection_inverse(target, alpha, tol=1e-9):
+    """Independent inverse warp: bisection on the monotone map to within tol."""
+    a = 1.0 - alpha
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, np.pi)
+    for _ in range(int(np.ceil(np.log2(np.pi / tol)))):
+        mid = 0.5 * (lo + hi)
+        below = mid + 2.0 * np.arctan2(a * np.sin(mid), 1.0 - a * np.cos(mid)) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_invert_warp_is_exact_to_rounding_and_matches_bisection():
+    # the closed form round-trips to rounding error, where a 1e-9 bisection
+    # is only within half its last bracket (~3.7e-10)
+    targets = np.linspace(0.0, np.pi, 1001)
+    for alpha in np.linspace(0.05, 1.95, 39).tolist():
+        omega = vtlp.invert_warp(targets, alpha)
+        assert np.max(np.abs(vtlp.warp_frequency(omega, alpha) - targets)) <= 1e-12
+        assert np.max(np.abs(omega - bisection_inverse(targets, alpha))) <= 1e-9
 
 
 def test_invert_warp_fixed_endpoint():
