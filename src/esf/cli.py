@@ -19,6 +19,7 @@ from . import config as cfgmod
 from . import dsp
 from .errors import (ConfigurationError, CorruptionError, DeliveryError,
                      EsfError, FormatError, LaunchError, TruncationError)
+from .wire import DEFAULT_MAX_CREDITS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,9 +109,9 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("consume", help="consume one epoch from a server")
     p.add_argument("--addr", type=host_port, required=True, help="host:port")
-    p.add_argument("--step-cost", type=float, default=0.0,
+    p.add_argument("--step-cost", type=non_negative_float, default=0.0,
                    help="simulated seconds of compute per batch")
-    p.add_argument("--max-credits", type=int, default=4)
+    p.add_argument("--max-credits", type=positive_int, default=DEFAULT_MAX_CREDITS)
     p.set_defaults(func=cmd_consume)
 
     p = sub.add_parser("bench", parents=[configured],
@@ -118,7 +119,7 @@ def build_parser() -> Parser:
     p.add_argument("--servers", type=server_counts,
                    help="server counts, e.g. 1..5 or 1,2,4")
     p.add_argument("--consumers", type=int)
-    p.add_argument("--step-cost", type=float)
+    p.add_argument("--step-cost", type=non_negative_float)
     p.add_argument("--repeats", type=int)
     p.add_argument("--utterances", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -335,11 +336,26 @@ def host_port(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def non_negative_float(text: str) -> float:
+    if not float(text) >= 0:  # NaN too
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return float(text)
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def server_counts(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x]
+    """A non-empty list of counts >= 1, written "lo..hi" or "a,b,c"."""
+    lo, sep, hi = text.partition("..")
+    counts = (list(range(int(lo), int(hi) + 1)) if sep
+              else [int(x) for x in text.split(",") if x])
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"expected server counts >= 1, got {text!r}")
+    return counts
 
 
 def cmd_bench(args) -> int:

@@ -18,7 +18,7 @@ import threading
 
 from .errors import DeliveryError, EsfError
 from .pipeline import Batch
-from .wire import FrameReader, MsgType, decode_batch, encode_frame
+from .wire import DEFAULT_MAX_CREDITS, FrameReader, MsgType, decode_batch, encode_frame
 
 _END = object()
 _CREDIT_ONE = encode_frame(MsgType.CREDIT, struct.pack("<I", 1))
@@ -27,7 +27,7 @@ _CREDIT_ONE = encode_frame(MsgType.CREDIT, struct.pack("<I", 1))
 class Consumer:
     """Iterable over the batches of one server connection."""
 
-    def __init__(self, host: str, port: int, *, max_credits: int = 4,
+    def __init__(self, host: str, port: int, *, max_credits: int = DEFAULT_MAX_CREDITS,
                  timeout: float | None = 60.0):
         if max_credits < 1:
             raise ValueError("max_credits must be >= 1")
@@ -141,7 +141,12 @@ class Consumer:
         return item
 
     def stats(self, timeout: float = 10.0) -> dict:
-        """Round-trip a STATS request: {batches_sent, buffered, epoch, skipped}."""
+        """Round-trip a STATS request: {batches_sent, buffered, epoch, skipped}.
+
+        The server answers when its slot next waits for a credit, after the
+        frames this consumer sent before: on a supply-bound server, behind
+        the batches it builds for the credits it holds.
+        """
         self._send(encode_frame(MsgType.STATS, b""))
         return self._stats.get(timeout=timeout)
 
@@ -166,7 +171,7 @@ class Consumer:
         self.close()
 
 
-def connect_consumer(addr: tuple[str, int], *, max_credits: int = 4,
+def connect_consumer(addr: tuple[str, int], *, max_credits: int = DEFAULT_MAX_CREDITS,
                      timeout: float | None = 60.0) -> Consumer:
     """Connect to an example server; returns an iterable Consumer handle.
 

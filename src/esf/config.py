@@ -45,10 +45,6 @@ def _keys(section: str):
 
 
 DEFAULTS: dict = {
-    "recordio": {
-        "num_shards": 4,
-        "path_pattern": "corpus-{shard:04d}.esrd",
-    },
     **{section: json.loads(json.dumps(dict(_keys(section))))  # tuples as lists
        for section in SECTIONS},
     "bench": {

@@ -1,17 +1,18 @@
 """The example-server service: pipelines streaming batches to consumers under
 credit-based flow control.
 
-Each connection takes one pipeline slot and two threads, and every handoff
-between them blocks on the event it waits for. The slot's own thread builds
-each batch, encodes it into its frame, takes one credit of a semaphore and
-sends the frame, so at most one encoded frame ever waits server-side. A
-reader releases that semaphore per granted credit, answers STATS, and
-releases it once more when the read side ends, to wake the slot thread.
-After END or ERROR the server half-closes, waits on the reader for the
-peer's EOF and joins it; the last slot to finish shuts the listener down,
-which ends run(). A server owns a shard subset (index mod server_count) and
-splits it again across its pipeline slots, so concurrent consumers receive
-disjoint record sets.
+Each connection takes one pipeline slot and runs on that slot's thread
+alone. The thread builds each batch and encodes it into its frame; holding
+no credit, it then reads the consumer's frames, adding each CREDIT grant and
+answering each STATS, until it holds one, and sends the frame. So at most
+one encoded frame ever waits server-side. A STATS request is answered when
+the slot reads it, after the frames the consumer sent before it: on a
+supply-bound server, behind credits that wait while batches are built.
+After END or ERROR the server half-closes and reads until the peer's EOF,
+for at most _CLOSE_TIMEOUT_S in all; the last slot to finish shuts the
+listener down, which ends run(). A server owns a shard subset (index mod
+server_count) and splits it again across its pipeline slots, so concurrent
+consumers receive disjoint record sets.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -33,7 +35,8 @@ from .errors import ConfigurationError, EsfError, FormatError, LaunchError
 from .pipeline import MapStats, PipelineConfig, build_pipeline
 from .util import hash64
 from .vtlp import WarpSpec
-from .wire import FrameReader, MsgType, encode_batch_frame, encode_frame
+from .wire import (DEFAULT_MAX_CREDITS, FrameReader, MsgType, encode_batch_frame,
+                   encode_frame)
 
 _CLOSE_TIMEOUT_S = 5.0  # how long a finished connection waits for the peer's EOF
 
@@ -75,7 +78,7 @@ def _hello_credits(msg_type: MsgType, payload: bytes) -> int:
         raise ValueError("HELLO is not a JSON object")
     if hello.get("version") != 1:
         raise ValueError(f"version mismatch: {hello.get('version')}")
-    max_credits = hello.get("max_credits", 4)
+    max_credits = hello.get("max_credits", DEFAULT_MAX_CREDITS)
     if type(max_credits) is not int or max_credits < 1:
         raise ValueError("max_credits must be an integer >= 1")
     return max_credits
@@ -86,52 +89,41 @@ def _error_frame(message: str) -> bytes:
 
 
 class _Connection:
-    def __init__(self, sock: socket.socket, max_credits: int):
+    """One consumer's stream, served on its slot's thread alone."""
+
+    def __init__(self, sock: socket.socket, reader: FrameReader, max_credits: int):
         self.sock = sock
+        self.reader = reader
         self.max_credits = max_credits
-        self.write_lock = threading.Lock()
-        self.credits = threading.Semaphore(0)
+        self.credits = 0
         self.map_stats = MapStats()
         self.batches_sent = 0
-        self.buffered = 0  # frames encoded but not yet sent: 0 or 1
         self.epoch = 0
-        self.alive = True
-
-    def send_frame(self, data: bytes) -> None:
-        with self.write_lock:
-            self.sock.sendall(data)
 
     def stats_payload(self) -> bytes:
+        # STATS is answered only while a built frame waits for a credit
         return json.dumps({
-            "batches_sent": self.batches_sent, "buffered": self.buffered,
+            "batches_sent": self.batches_sent, "buffered": 1,
             "epoch": self.epoch, "skipped": self.map_stats.skipped}).encode("utf-8")
 
-    def reader_loop(self, reader: FrameReader) -> None:
-        try:
-            for msg_type, payload in iter(reader.read_frame, None):
-                if msg_type == MsgType.CREDIT:
-                    if len(payload) != 4:
-                        raise FormatError(f"CREDIT payload of {len(payload)} bytes, not 4")
-                    grant = int.from_bytes(payload, "little")
-                    # more than a consumer may hold; Semaphore.release is O(grant)
-                    if grant > self.max_credits:
-                        raise FormatError(f"CREDIT grant {grant} exceeds max_credits")
-                    if grant:
-                        self.credits.release(grant)
-                elif msg_type == MsgType.STATS and self.alive:
-                    self.send_frame(encode_frame(MsgType.STATS, self.stats_payload()))
-                # other client-to-server types are ignored
-        except EsfError:
-            # corrupt or malformed traffic: reset the connection
-            with contextlib.suppress(OSError):
-                self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        finally:
-            # whichever way the read side ends, the consumer is gone (or the
-            # stream is complete); wake the slot thread so the slot can finish
-            self.alive = False
-            self.credits.release()
+    def await_credit(self) -> bool:
+        """Act on the consumer's frames until a credit is held; False at its EOF."""
+        while not self.credits:
+            frame = self.reader.read_frame()
+            if frame is None:
+                return False
+            msg_type, payload = frame
+            if msg_type == MsgType.CREDIT:
+                if len(payload) != 4:
+                    raise FormatError(f"CREDIT payload of {len(payload)} bytes, not 4")
+                grant = int.from_bytes(payload, "little")
+                if grant > self.max_credits:  # more than a consumer may hold
+                    raise FormatError(f"CREDIT grant {grant} exceeds max_credits")
+                self.credits += grant
+            elif msg_type == MsgType.STATS:
+                self.sock.sendall(encode_frame(MsgType.STATS, self.stats_payload()))
+            # other client-to-server types are ignored
+        return True
 
     def frames(self, cfg: ServerConfig,
                slot_cfg: PipelineConfig) -> Iterator[tuple[MsgType, bytes]]:
@@ -152,27 +144,22 @@ class _Connection:
     def send_frames(self, frames: Iterator[tuple[MsgType, bytes]]) -> None:
         """Send each frame for one credit until the stream or the consumer ends."""
         for msg_type, frame in frames:
-            self.buffered = 1
-            self.credits.acquire()  # a granted credit, or the reader's last release
-            if not self.alive:
+            if not self.await_credit():
                 return
-            self.buffered = 0
+            self.credits -= 1
             if msg_type == MsgType.BATCH:
-                # count before the write: the write lock orders the frame
-                # ahead of any STATS reply that reports it
                 self.batches_sent += 1
-            self.send_frame(frame)
+            self.sock.sendall(frame)
 
-    def close(self, reader: threading.Thread) -> None:
-        """Half-close, wait for the peer's EOF, then join the reader."""
-        self.alive = False
-        with contextlib.suppress(OSError):
+    def close(self) -> None:
+        """Half-close, then read until the peer's EOF or the close deadline."""
+        deadline = time.monotonic() + _CLOSE_TIMEOUT_S
+        with contextlib.suppress(OSError):  # socket.timeout included
             self.sock.shutdown(socket.SHUT_WR)
-        reader.join(_CLOSE_TIMEOUT_S)
-        if reader.is_alive():
-            with contextlib.suppress(OSError):
-                self.sock.shutdown(socket.SHUT_RDWR)
-            reader.join()
+            while (left := deadline - time.monotonic()) > 0:
+                self.sock.settimeout(left)
+                if not self.sock.recv(65536):
+                    return
 
 
 class ExampleServer:
@@ -233,20 +220,17 @@ class ExampleServer:
     def _serve_slot(self, sock: socket.socket, reader: FrameReader, slot: int,
                     max_credits: int) -> None:
         threading.current_thread().name = f"esf-slot-{slot}"
-        conn = _Connection(sock, max_credits)
-        reader_thread = threading.Thread(target=conn.reader_loop, args=(reader,),
-                                         daemon=True, name=f"esf-reader-{slot}")
-        reader_thread.start()
+        conn = _Connection(sock, reader, max_credits)
         try:
             reply = json.dumps({"version": 1, "slot": slot,
                                 "num_slots": self.cfg.num_pipelines,
                                 "epochs": self.cfg.epochs}).encode("utf-8")
-            conn.send_frame(encode_frame(MsgType.HELLO, reply))
+            sock.sendall(encode_frame(MsgType.HELLO, reply))
             frames = conn.frames(self.cfg, self._slot_configs[slot])
             with contextlib.closing(frames):
                 conn.send_frames(frames)
+            conn.close()
         finally:
-            conn.close(reader_thread)
             with self._slot_lock:
                 self._slots_finished += 1
                 last = self._slots_finished == self.cfg.num_pipelines

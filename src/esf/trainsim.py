@@ -27,7 +27,6 @@ class ThroughputStats:
     session_time: float
     t_session: float
     batches: int
-    epoch_time: float
     incomplete: bool = False
 
 
@@ -67,8 +66,7 @@ def consume_epoch(stream: Iterable, step_cost: float) -> ThroughputStats:
         batches += 1
     elapsed = time.perf_counter() - start
     t_session = session / elapsed if elapsed > 0 else 0.0
-    return ThroughputStats(elapsed, session, t_session, batches, elapsed,
-                           incomplete=incomplete)
+    return ThroughputStats(elapsed, session, t_session, batches, incomplete=incomplete)
 
 
 def merge_streams(consumers: Sequence[Iterable]) -> Iterator:
@@ -184,8 +182,7 @@ def _run_bench_once(servers: int, consumers: int, step_cost: float,
     elapsed = max(s.elapsed_time for s in done)
     session = sum(s.session_time for s in done)
     t_session = float(np.mean([s.t_session for s in done]))
-    return ThroughputStats(elapsed, session, t_session,
-                           sum(s.batches for s in done), elapsed,
+    return ThroughputStats(elapsed, session, t_session, sum(s.batches for s in done),
                            incomplete=any(s.incomplete for s in done))
 
 
@@ -205,7 +202,7 @@ def bench_scaling(server_counts: Sequence[int], consumers: int, step_cost: float
         for rep in range(repeats):
             st = _run_bench_once(s, consumers, step_cost, config,
                                  seed_base + 1000 * rep)
-            epoch_times.append(st.epoch_time)
+            epoch_times.append(st.elapsed_time)
             t_sessions.append(st.t_session)
             batch_counts.append(st.batches)
         rows.append(BenchRow(s, consumers, s / consumers,

@@ -23,6 +23,7 @@ MAGIC = b"ESRV"
 VERSION = 1
 HEADER_LEN = 10  # magic + version + msg_type + payload_length
 MAX_PAYLOAD = 64 * 1024 * 1024
+DEFAULT_MAX_CREDITS = 4  # the credit window of a consumer that names none
 _HEADER = struct.Struct("<4sBBI")
 _ORDINAL = struct.Struct("<Q")
 _FEATURE_DIMS = struct.Struct("<III")

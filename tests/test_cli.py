@@ -13,6 +13,7 @@ import pytest
 
 import esf.__main__ as entry
 import esf.cli
+import esf.client
 import esf.server
 import esf.synth
 import esf.trainsim
@@ -440,6 +441,31 @@ def test_decode_without_files_is_usage_error():
 
 def test_consume_unreachable_server_is_network_error():
     assert main(["consume", "--addr", "127.0.0.1:1"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["consume", "--addr", "127.0.0.1:1", "--step-cost", "-1"],
+    ["consume", "--addr", "127.0.0.1:1", "--step-cost", "nan"],
+    ["consume", "--addr", "127.0.0.1:1", "--max-credits", "0"],
+    ["bench", "--servers", "3..1"],
+    ["bench", "--servers", "0,1"],
+    ["bench", "--servers", ","],
+    ["bench", "--step-cost", "-0.5"],
+], ids=["consume-negative-step-cost", "consume-nan-step-cost", "consume-zero-credits",
+        "bench-empty-range", "bench-zero-servers", "bench-no-servers",
+        "bench-negative-step-cost"])
+def test_bad_consume_and_bench_flags_are_usage_errors_before_any_socket(
+        argv, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(esf.client.socket, "create_connection",
+                        lambda *args, **kwargs: calls.append("connect"))
+    monkeypatch.setattr(esf.synth, "write_synth_corpus",
+                        lambda *args, **kwargs: calls.append("corpus"))
+    monkeypatch.setattr(esf.server, "launch_servers",
+                        lambda *args, **kwargs: calls.append("launch"))
+    assert main(argv) == 1
+    assert calls == []
+    assert "expected" in capsys.readouterr().err
 
 
 def test_serve_and_consume_subprocess(dryrun_config):

@@ -16,10 +16,6 @@ from esf.vtlp import WarpSpec
 # The whole defaults document as it stood when the sections were hand-written;
 # any change to a default must show up here.
 EXPECTED_DEFAULTS = {
-    "recordio": {
-        "num_shards": 4,
-        "path_pattern": "corpus-{shard:04d}.esrd",
-    },
     "pipeline": {
         "shard_paths": [],
         "interleave_cycle_length": 2,
@@ -92,6 +88,12 @@ def test_defaults_document_is_pinned():
     # same order and same JSON types (1.0 stays a float, ranges are lists)
     assert json.dumps(cfg) == json.dumps(EXPECTED_DEFAULTS)
     assert json.dumps(cfgmod.DEFAULTS) == json.dumps(EXPECTED_DEFAULTS)
+
+
+def test_recordio_section_is_unknown():
+    # esf shard takes --shards and --out; a recordio section would be ignored
+    with pytest.raises(ConfigurationError, match="recordio"):
+        merge_config({"recordio": {"num_shards": 8}})
 
 
 def test_merge_config_returns_a_copy():

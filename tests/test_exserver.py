@@ -185,18 +185,40 @@ def test_credit_payload_not_4_bytes_resets_connection(corpus, payload):
     assert not thread.is_alive()
 
 
-def test_open_connection_runs_a_slot_thread_and_one_reader(corpus):
-    # the slot's thread builds, encodes and sends; a reader takes credits
+def test_open_connection_runs_only_its_slot_thread(corpus):
+    # the slot's thread builds, encodes and sends, and reads the consumer's
+    # frames itself
     before = set(threading.enumerate())
     server, endpoint, thread = make_server(corpus)
     sock, reader = raw_hello(endpoint, max_credits=2)
     assert reader.read_frame()[0] == MsgType.HELLO
     names = sorted(t.name for t in threading.enumerate()
                    if t not in before and t.name.startswith("esf-"))
-    assert names == ["esf-reader-0", "esf-slot-0"]
+    assert names == ["esf-slot-0"]
     sock.close()
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_peer_that_never_closes_cannot_hold_the_slot(corpus, monkeypatch):
+    # a peer that reads to END and keeps sending STATS without closing: the
+    # close deadline bounds the whole drain, not each read
+    monkeypatch.setattr(server_mod, "_CLOSE_TIMEOUT_S", 1.0)
+    server, endpoint, thread = make_server(corpus)
+    sock, reader = raw_hello(endpoint, max_credits=1)
+    with sock:
+        assert reader.read_frame()[0] == MsgType.HELLO
+        while True:
+            sock.sendall(encode_frame(MsgType.CREDIT, struct.pack("<I", 1)))
+            if reader.read_frame()[0] == MsgType.END:
+                break
+        start = time.monotonic()
+        with contextlib.suppress(OSError):
+            while thread.is_alive() and time.monotonic() - start < 10.0:
+                sock.sendall(encode_frame(MsgType.STATS, b""))
+                thread.join(timeout=0.5)
+        assert not thread.is_alive()
+        assert time.monotonic() - start < server_mod._CLOSE_TIMEOUT_S + 2.0
 
 
 @pytest.mark.parametrize("after_hello", [False, True])
@@ -346,7 +368,9 @@ def test_peer_reset_mid_stream_raises_delivery_error_with_last_ordinal():
 def test_one_consumer_thread_per_open_connection(corpus):
     server, endpoint, thread = make_server(corpus, num_pipelines=2)
     before = consumer_threads()
-    consumers = [connect_consumer(endpoint) for _ in range(2)]
+    # one credit each: a stream of 3 batches cannot reach END, and end its
+    # reader, before both readers are counted
+    consumers = [connect_consumer(endpoint, max_credits=1) for _ in range(2)]
     assert len(consumer_threads() - before) == 2
     assert sum(b.size for b in consumers[0]) == 5
     consumers[1].wait_ready(10)  # a reader blocked on a live socket
@@ -493,7 +517,7 @@ def test_run_returns_with_connection_threads_joined(corpus, monkeypatch):
     thread.join(timeout=10)
     assert not thread.is_alive()
     left = [t.name for t in threading.enumerate() if t not in before
-            and t.name.startswith(("esf-producer-", "esf-reader-"))]
+            and t.name.startswith("esf-slot-")]
     assert left == []
 
 

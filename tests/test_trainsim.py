@@ -11,7 +11,7 @@ from esf.trainsim import (GradientVector, ThroughputStats, clip_by_global_norm,
 
 
 def test_t_session_is_session_over_elapsed():
-    stats = ThroughputStats(100.0, 50.0, 0.5, 10, 100.0)
+    stats = ThroughputStats(100.0, 50.0, 0.5, 10)
     assert stats.t_session == stats.session_time / stats.elapsed_time == 0.5
 
 
