@@ -87,7 +87,11 @@ class Consumer:
             self.sock.sendall(data)
 
     def _reader_loop(self, reader: FrameReader) -> None:
-        """Queue each batch, then _END or the one DeliveryError that ends the stream."""
+        """Queue each batch, then _END or the one DeliveryError that ends the stream.
+
+        The end goes to the STATS queue as well, so that stats() raises at
+        once instead of waiting for a reply that cannot come.
+        """
         try:
             while True:
                 frame = reader.read_frame()
@@ -106,25 +110,29 @@ class Consumer:
                     self._batches.put(batch)
                     self._first_item.set()
                 elif msg_type == MsgType.END:
-                    self._batches.put(_END)
-                    return
+                    end = _END
+                    break
                 elif msg_type == MsgType.STATS:
-                    self._stats.put(json.loads(payload.decode("utf-8")))
+                    stats = json.loads(payload.decode("utf-8"))
+                    if not isinstance(stats, dict):
+                        raise EsfError("STATS payload is not a JSON object")
+                    self._stats.put(stats)
                 elif msg_type == MsgType.ERROR:
                     message = json.loads(payload.decode("utf-8")).get("message", "")
                     raise DeliveryError(f"server error: {message}",
                                         last_ordinal=self.last_ordinal)
         except Exception as exc:  # the stream must end with an item, or __next__ blocks
-            if isinstance(exc, OSError) and self._closed:
-                return  # close() shut the socket under this thread
-            if not isinstance(exc, DeliveryError):
+            if isinstance(exc, OSError) and self._closed:  # close() shut the socket
+                exc = DeliveryError("consumer closed", last_ordinal=self.last_ordinal)
+            elif not isinstance(exc, DeliveryError):
                 cause = exc
                 exc = DeliveryError(f"stream broken after batch {self.last_ordinal}: "
                                     f"{cause!r}", last_ordinal=self.last_ordinal)
                 exc.__cause__ = cause
-            self._batches.put(exc)
-        finally:
-            self._first_item.set()
+            end = exc
+        self._batches.put(end)
+        self._stats.put(end)
+        self._first_item.set()
 
     def __iter__(self):
         return self
@@ -145,10 +153,20 @@ class Consumer:
 
         The server answers when its slot next waits for a credit, after the
         frames this consumer sent before: on a supply-bound server, behind
-        the batches it builds for the credits it holds.
+        the batches it builds for the credits it holds. Raises DeliveryError
+        once the stream has ended or broken, and queue.Empty if no reply
+        comes within timeout.
         """
-        self._send(encode_frame(MsgType.STATS, b""))
-        return self._stats.get(timeout=timeout)
+        with contextlib.suppress(OSError):  # a broken socket ends the stream, raised below
+            self._send(encode_frame(MsgType.STATS, b""))
+        item = self._stats.get(timeout=timeout)
+        if isinstance(item, dict):
+            return item
+        self._stats.put(item)  # the stream stays ended for every later call
+        if item is _END:
+            raise DeliveryError(f"stream ended after batch {self.last_ordinal}",
+                                last_ordinal=self.last_ordinal)
+        raise item
 
     def wait_ready(self, timeout: float | None = None) -> bool:
         """Block until the first batch (or the end of stream) has arrived.

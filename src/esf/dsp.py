@@ -188,9 +188,12 @@ def stft(w: Waveform, cfg: StftConfig, *,
         raise ValueError(f"waveform ({n} samples) shorter than one window ({win})")
     frames_buf, spectra_buf = scratch or (None, None)
     num_frames = 1 + (n - win) // hop
-    frames = np.multiply(sliding_window_view(w.samples, win)[::hop], hann_periodic(win),
-                         out=_empty(frames_buf, (num_frames, win)))
-    spectra = np.fft.rfft(frames, n=cfg.dft_size, axis=1,
+    # frames padded in place: rfft without n= makes no padded copy of its own
+    frames = _empty(frames_buf, (num_frames, cfg.dft_size))
+    frames[:, win:] = 0.0
+    np.multiply(sliding_window_view(w.samples, win)[::hop], hann_periodic(win),
+                out=frames[:, :win])
+    spectra = np.fft.rfft(frames, axis=1,
                           out=_empty(spectra_buf, (num_frames, cfg.dft_size // 2 + 1),
                                      np.complex128))
     return Spectrogram(spectra, cfg, w.sample_rate)

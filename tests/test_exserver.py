@@ -396,9 +396,11 @@ def test_paused_trainer_keeps_a_healthy_stream(corpus):
 @pytest.mark.parametrize("frame", [
     encode_frame(9, b""),
     encode_frame(MsgType.STATS, b"not json"),
+    encode_frame(MsgType.STATS, b"[1, 2]"),
     encode_frame(MsgType.ERROR, b"\xff\xfe"),
     encode_frame(MsgType.ERROR, b"[1]"),
-], ids=["unknown-type", "stats-not-json", "error-not-utf8", "error-not-object"])
+], ids=["unknown-type", "stats-not-json", "stats-not-object", "error-not-utf8",
+        "error-not-object"])
 def test_malformed_server_frame_raises_delivery_error(frame):
     listener, thread = fake_server([frame])
     consumer = connect_consumer(listener.getsockname(), timeout=10)
@@ -407,6 +409,47 @@ def test_malformed_server_frame_raises_delivery_error(frame):
         assert isinstance(err, DeliveryError)
         assert err.last_ordinal is None and err.__cause__ is not None
         assert next_within(consumer) is err  # and so does every later call
+    finally:
+        consumer.close()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_stats_reply_that_is_not_an_object_raises_delivery_error():
+    listener, thread = fake_server([encode_frame(MsgType.STATS, b"[1, 2]")])
+    consumer = connect_consumer(listener.getsockname(), timeout=10)
+    try:
+        with pytest.raises(DeliveryError) as err:
+            consumer.stats(timeout=5)
+        assert isinstance(err.value.__cause__, EsfError)
+        assert next_within(consumer) is err.value  # the stream ended with it
+    finally:
+        consumer.close()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("ending", ["end", "reset"])
+def test_stats_after_the_stream_ended_raises_at_once(ending):
+    if ending == "end":
+        listener, thread = fake_server(batch_frames(1) + [encode_frame(MsgType.END, b"")])
+    else:
+        listener, thread = fake_server(batch_frames(1), reset_after=1)
+    consumer = connect_consumer(listener.getsockname(), timeout=10)
+    try:
+        assert next(consumer).size == 1
+        ended = next_within(consumer)  # the credit for that batch makes the peer reset
+        assert isinstance(ended, StopIteration if ending == "end" else DeliveryError)
+        for _ in range(2):  # and stays ended
+            start = time.monotonic()
+            with pytest.raises(DeliveryError) as err:
+                consumer.stats(timeout=5)
+            assert time.monotonic() - start < 1.0
+            assert err.value.last_ordinal == 0
+            if ending == "reset":
+                assert err.value is ended
     finally:
         consumer.close()
         thread.join(timeout=10)

@@ -1,20 +1,23 @@
 """Shard storage: round trips, framing, and corruption detection."""
 
+import resource
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esf import recordio
+from esf import recordio, util
 from esf.errors import CorruptionError, FormatError, TruncationError
 from esf.util import crc32c
 
 
-def crc32c_bitwise(data: bytes) -> int:
+def crc32c_bitwise(data: bytes, value: int = 0) -> int:
     """Independent bit-at-a-time CRC32C for cross-checking the table version."""
-    crc = 0xFFFFFFFF
+    crc = value ^ 0xFFFFFFFF
     for b in data:
         crc ^= b
         for _ in range(8):
@@ -28,6 +31,8 @@ def test_crc32c_rfc3720_vectors():
     assert crc32c(b"123456789") == 0xE3069283
     assert crc32c(b"\x00" * 32) == 0x8A9136AA
     assert crc32c(b"\xff" * 32) == 0x62A8AB43
+    assert crc32c(bytes(range(32))) == 0x46DD794E
+    assert crc32c(bytes(range(31, -1, -1))) == 0x113FDB5C
 
 
 def test_crc32c_matches_bitwise_reference():
@@ -37,8 +42,8 @@ def test_crc32c_matches_bitwise_reference():
         assert crc32c(data) == crc32c_bitwise(data)
 
 
-# lengths on both sides of the 4-byte register and the 256-byte block edges,
-# and a few blocks long
+# lengths on both sides of the kernel's 8-byte step and of 256-byte edges,
+# and a few hundred steps long
 _crc_lengths = st.one_of(
     st.sampled_from([0, 1, 2, 3, 4, 5, 255, 256, 257, 511, 512, 513]),
     st.integers(0, 2100))
@@ -85,6 +90,92 @@ def test_crc32c_property_single_bit_flip_in_a_megabyte_detected(bit):
     flipped = bytearray(_MEGABYTE)
     flipped[bit // 8] ^= 1 << (bit % 8)
     assert crc32c(flipped) != _MEGABYTE_CRC
+
+
+def test_crc32c_every_short_length_at_every_alignment():
+    rng = np.random.default_rng(3)
+    buf = bytearray(rng.integers(0, 256, 80, dtype=np.uint8).tobytes())
+    for start in range(8):
+        for n in range(65):
+            value = int(rng.integers(0, 2**32))
+            data = memoryview(buf)[start:start + n]
+            assert crc32c(data, value) == crc32c_bitwise(bytes(data), value), (start, n)
+
+
+_CRC_TABLE = [crc32c_bitwise(bytes([i]), 0xFFFFFFFF) ^ 0xFFFFFFFF for i in range(256)]
+
+
+def crc32c_table(data: bytes, value: int = 0) -> int:
+    """Byte-at-a-time pure-Python CRC32C, fast enough for a megabyte."""
+    crc = value ^ 0xFFFFFFFF
+    for b in data:
+        crc = _CRC_TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF
+
+
+def test_crc32c_large_sizes_with_initial_values_match_table_reference():
+    rng = np.random.default_rng(7)
+    assert crc32c_table(b"123456789") == 0xE3069283
+    for n in (1 << 20, (1 << 20) - 1, 680_000, 96_001, 4099):
+        data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+        value = int(rng.integers(0, 2**32))
+        assert crc32c(data, value) == crc32c_table(data, value), n
+
+
+def test_crc32c_rejects_non_contiguous_buffer():
+    with pytest.raises(BufferError):
+        crc32c(memoryview(bytearray(16))[::2])
+
+
+def test_crc32c_of_a_frame_sized_buffer_takes_no_page_faults():
+    data = np.random.default_rng(9).integers(0, 256, 680_000, dtype=np.uint8).tobytes()
+    faults = []
+
+    def measure():
+        crc32c(memoryview(bytearray(data)))  # the first call's faults are not counted
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        for _ in range(20):
+            crc32c(data, 1)
+            crc32c(memoryview(data), 2)
+        faults.append((resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before) / 40)
+
+    thread = threading.Thread(target=measure)
+    thread.start()
+    thread.join(timeout=60)
+    assert faults and faults[0] < 5
+
+
+def test_crc32c_kernel_is_built_once_and_then_loaded_from_the_cache(tmp_path, monkeypatch):
+    first = util._load_kernel(tmp_path, util._COMPILER)
+    assert first.esf_crc32c(0, b"123456789", 9) == 0xE3069283
+    (library,) = tmp_path.iterdir()  # no partial file is left behind
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran for a cached kernel")
+
+    monkeypatch.setattr(util.subprocess, "run", no_compiler)
+    again = util._load_kernel(tmp_path, util._COMPILER)
+    assert again.esf_crc32c(0, b"123456789", 9) == 0xE3069283
+    assert list(tmp_path.iterdir()) == [library]
+
+
+def test_crc32c_kernel_builds_in_a_temporary_directory_when_the_cache_is_unwritable(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    lib = util._load_kernel(blocker / "cache", util._COMPILER)
+    assert lib.esf_crc32c(0, b"123456789", 9) == 0xE3069283
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_crc32c_kernel_build_failure_raises_import_error_with_stderr(tmp_path):
+    failing = [sys.executable, "-c",
+               "import sys; sys.stderr.write('cc: fatal error: out of ink'); sys.exit(3)"]
+    with pytest.raises(ImportError, match="out of ink") as err:
+        util._load_kernel(tmp_path, failing)
+    assert "exited with 3" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ImportError, match="needs a C compiler"):
+        util._load_kernel(tmp_path, [str(tmp_path / "no-such-cc")])
 
 
 def make_records(n, samples_per=50):
