@@ -8,6 +8,7 @@ Diagnostics go to stderr; data goes to stdout or to files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import socket
 import sys
@@ -318,13 +319,7 @@ def cmd_consume(args) -> int:
         stats = consume_epoch(consumer, args.step_cost)
     finally:
         consumer.close()
-    print(json.dumps({
-        "elapsed_time": stats.elapsed_time,
-        "session_time": stats.session_time,
-        "t_session": stats.t_session,
-        "batches": stats.batches,
-        "incomplete": stats.incomplete,
-    }))
+    print(json.dumps(dataclasses.asdict(stats)))
     return EXIT_OK
 
 

@@ -151,11 +151,10 @@ class Consumer:
     def stats(self, timeout: float = 10.0) -> dict:
         """Round-trip a STATS request: {batches_sent, buffered, epoch, skipped}.
 
-        The server answers when its slot next waits for a credit, after the
-        frames this consumer sent before: on a supply-bound server, behind
-        the batches it builds for the credits it holds. Raises DeliveryError
-        once the stream has ended or broken, and queue.Empty if no reply
-        comes within timeout.
+        The server answers after its slot's next batch build, within one
+        build of the request's arrival. Raises DeliveryError once the
+        stream has ended or broken, and queue.Empty if no reply comes within
+        timeout.
         """
         with contextlib.suppress(OSError):  # a broken socket ends the stream, raised below
             self._send(encode_frame(MsgType.STATS, b""))

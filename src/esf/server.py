@@ -2,17 +2,16 @@
 credit-based flow control.
 
 Each connection takes one pipeline slot and runs on that slot's thread
-alone. The thread builds each batch and encodes it into its frame; holding
-no credit, it then reads the consumer's frames, adding each CREDIT grant and
-answering each STATS, until it holds one, and sends the frame. So at most
-one encoded frame ever waits server-side. A STATS request is answered when
-the slot reads it, after the frames the consumer sent before it: on a
-supply-bound server, behind credits that wait while batches are built.
-After END or ERROR the server half-closes and reads until the peer's EOF,
-for at most _CLOSE_TIMEOUT_S in all; the last slot to finish shuts the
-listener down, which ends run(). A server owns a shard subset (index mod
-server_count) and splits it again across its pipeline slots, so concurrent
-consumers receive disjoint record sets.
+alone. The thread builds each batch and encodes it into its frame; then it
+acts on every consumer frame already received, adding each CREDIT grant and
+answering each STATS, goes on reading while it holds no credit, and sends
+the frame. So at most one encoded frame ever waits server-side, and a STATS
+request is answered within one batch build. After END or ERROR the server
+half-closes and reads until the peer's EOF, for at most _CLOSE_TIMEOUT_S in
+all; the last slot to finish shuts the listener down, which ends run(). A
+server owns a shard subset (index mod server_count) and splits it again
+across its pipeline slots, so concurrent consumers receive disjoint record
+sets.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import contextlib
 import itertools
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -96,19 +96,22 @@ class _Connection:
         self.reader = reader
         self.max_credits = max_credits
         self.credits = 0
+        self._poll = select.poll()  # not select.select, which fails past fd 1024
+        self._poll.register(sock, select.POLLIN)
         self.map_stats = MapStats()
         self.batches_sent = 0
         self.epoch = 0
 
     def stats_payload(self) -> bytes:
-        # STATS is answered only while a built frame waits for a credit
+        # STATS is answered only while a built frame waits to be sent
         return json.dumps({
             "batches_sent": self.batches_sent, "buffered": 1,
             "epoch": self.epoch, "skipped": self.map_stats.skipped}).encode("utf-8")
 
     def await_credit(self) -> bool:
-        """Act on the consumer's frames until a credit is held; False at its EOF."""
-        while not self.credits:
+        """Act on every consumer frame already received, then on more until
+        a credit is held; False at the consumer's EOF."""
+        while not self.credits or self.reader.pending or self._poll.poll(0):
             frame = self.reader.read_frame()
             if frame is None:
                 return False
@@ -117,8 +120,10 @@ class _Connection:
                 if len(payload) != 4:
                     raise FormatError(f"CREDIT payload of {len(payload)} bytes, not 4")
                 grant = int.from_bytes(payload, "little")
-                if grant > self.max_credits:  # more than a consumer may hold
-                    raise FormatError(f"CREDIT grant {grant} exceeds max_credits")
+                # a consumer holds at most max_credits, counting those in flight
+                if self.credits + grant > self.max_credits:
+                    raise FormatError(f"CREDIT grant {grant} takes the credits held "
+                                      f"past max_credits")
                 self.credits += grant
             elif msg_type == MsgType.STATS:
                 self.sock.sendall(encode_frame(MsgType.STATS, self.stats_payload()))

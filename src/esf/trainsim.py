@@ -10,14 +10,16 @@ example servers keep every consumer supplied.
 from __future__ import annotations
 
 import copy
+import itertools
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DeliveryError
+from .errors import DeliveryError, EsfError
 from .util import round_robin
 
 
@@ -127,6 +129,7 @@ class BenchRow:
     epoch_time_s: float
     t_session: float
     batches: int
+    consumer_batches: list[list[int]]  # each repeat's batches per consumer
 
     def csv(self) -> str:
         return (f"{self.servers},{self.consumers},{self.ratio:.4f},"
@@ -134,13 +137,15 @@ class BenchRow:
 
 
 BENCH_CSV_HEADER = "servers,consumers,ratio,epoch_time_s,t_session,batches"
+_BENCH_MAX_CREDITS = 8  # each bench consumer's credit window at every server
 
 
 def _run_bench_once(servers: int, consumers: int, step_cost: float,
-                    config: dict, seed_base: int, *,
-                    max_credits: int = 8) -> ThroughputStats:
-    import threading
+                    config: dict, seed_base: int) -> tuple[ThroughputStats, list[int]]:
+    """One epoch of every consumer against freshly launched servers.
 
+    Returns the stats over all consumers and each consumer's batch count.
+    """
     from .client import connect_consumer
     from .server import launch_servers
 
@@ -148,42 +153,37 @@ def _run_bench_once(servers: int, consumers: int, step_cost: float,
     config.setdefault("server", {}).update({"num_pipelines": consumers, "epochs": 1})
     config.setdefault("pipeline", {})["seed"] = seed_base
     procs = launch_servers(servers, config)
-    stats: list[ThroughputStats | None] = [None] * consumers
-    errors: list[Exception] = []
-
-    def run_consumer(g: int):
-        conns = []
-        try:
-            for p in procs:
-                conns.append(connect_consumer(p.endpoint, max_credits=max_credits))
-            for c in conns:  # prime: epoch timing starts with supply warm
-                c.wait_ready(timeout=120.0)
-            stats[g] = consume_epoch(merge_streams(conns), step_cost)
-        except Exception as exc:  # surface launch/connect problems
-            errors.append(exc)
-        finally:
-            for c in conns:
-                c.close()
-
+    conns: list[list] = [[] for _ in range(consumers)]
     try:
-        threads = [threading.Thread(target=run_consumer, args=(g,)) for g in range(consumers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # A server gives out slots in the order HELLOs arrive, so connecting
+        # in rotation gives consumer g slot (g + j) mod G at server j: no
+        # consumer holds the larger slot 0 at every server.
+        for j, p in enumerate(procs):
+            for slot in range(consumers):
+                c = connect_consumer(p.endpoint, max_credits=_BENCH_MAX_CREDITS)
+                conns[(slot - j) % consumers].append(c)
+                if c.assignment.get("slot") != slot:
+                    raise EsfError(f"server {j} gave slot {c.assignment.get('slot')}, "
+                                   f"not {slot}")
+        for c in itertools.chain(*conns):  # prime: epoch timing starts with supply warm
+            c.wait_ready(timeout=120.0)
+        with ThreadPoolExecutor(consumers) as pool:
+            done = list(pool.map(consume_epoch, [merge_streams(cs) for cs in conns],
+                                 [step_cost] * consumers))
     finally:
+        for c in itertools.chain(*conns):
+            c.close()
         for p in procs:
             p.terminate()
         for p in procs:
             p.wait(timeout=10.0)
-    if errors:
-        raise errors[0]
-    done = [s for s in stats if s is not None]
     elapsed = max(s.elapsed_time for s in done)
     session = sum(s.session_time for s in done)
     t_session = float(np.mean([s.t_session for s in done]))
-    return ThroughputStats(elapsed, session, t_session, sum(s.batches for s in done),
-                           incomplete=any(s.incomplete for s in done))
+    per_consumer = [s.batches for s in done]
+    return (ThroughputStats(elapsed, session, t_session, sum(per_consumer),
+                            incomplete=any(s.incomplete for s in done)),
+            per_consumer)
 
 
 def bench_scaling(server_counts: Sequence[int], consumers: int, step_cost: float,
@@ -199,14 +199,17 @@ def bench_scaling(server_counts: Sequence[int], consumers: int, step_cost: float
         epoch_times = []
         t_sessions = []
         batch_counts = []
+        consumer_batches = []
         for rep in range(repeats):
-            st = _run_bench_once(s, consumers, step_cost, config,
-                                 seed_base + 1000 * rep)
+            st, per_consumer = _run_bench_once(s, consumers, step_cost, config,
+                                               seed_base + 1000 * rep)
             epoch_times.append(st.elapsed_time)
             t_sessions.append(st.t_session)
             batch_counts.append(st.batches)
+            consumer_batches.append(per_consumer)
         rows.append(BenchRow(s, consumers, s / consumers,
                              statistics.median(epoch_times),
                              statistics.median(t_sessions),
-                             batch_counts[len(batch_counts) // 2]))
+                             batch_counts[len(batch_counts) // 2],
+                             consumer_batches))
     return rows

@@ -73,6 +73,11 @@ class FrameReader:
         self._start = 0  # first unread byte
         self._end = 0  # end of the received bytes
 
+    @property
+    def pending(self) -> bool:
+        """Whether received bytes wait to be read."""
+        return self._end > self._start
+
     def _fill(self, n: int) -> bool:
         """Buffer n unread bytes; False on clean EOF at a frame boundary.
 

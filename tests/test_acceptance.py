@@ -300,7 +300,8 @@ def test_criterion_7_throughput_trend(tmp_path):
                              config=cfg, repeats=3, seed_base=70)
         for row in rows:
             print(f"  S={row.servers} epoch={row.epoch_time_s:.2f}s "
-                  f"t_session={row.t_session:.4f} batches={row.batches}")
+                  f"t_session={row.t_session:.4f} batches={row.batches} "
+                  f"per_consumer={row.consumer_batches}")
         epoch = [r.epoch_time_s for r in rows]
         tses = [r.t_session for r in rows]
         for a, b in zip(epoch, epoch[1:]):

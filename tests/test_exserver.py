@@ -171,6 +171,57 @@ def test_credit_grant_above_max_credits_resets_connection(corpus):
     assert not thread.is_alive()
 
 
+def test_credits_held_past_max_credits_reset_the_connection(corpus):
+    # each grant alone is within max_credits; together they exceed it
+    server, endpoint, thread = make_server(corpus)
+    sock, reader = raw_hello(endpoint, max_credits=2)
+    reader.read_frame()  # HELLO reply
+    sock.sendall(encode_frame(MsgType.CREDIT, struct.pack("<I", 2))
+                 + encode_frame(MsgType.CREDIT, struct.pack("<I", 1)))
+    sock.settimeout(5.0)
+    assert reader.read_frame() is None  # closed without sending a batch
+    sock.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_stats_is_answered_within_one_build(corpus, monkeypatch):
+    # a slot that holds credits still answers a STATS sent mid-build once
+    # that build ends, before the next one starts
+    real = server_mod.build_pipeline
+    builds = []
+
+    def slow_pipeline(*args, **kwargs):
+        for batch in real(*args, **kwargs):
+            builds.append(batch)
+            time.sleep(0.5)
+            yield batch
+
+    real_payload = server_mod._Connection.stats_payload
+    builds_at_reply = []
+
+    def recording_payload(self):
+        builds_at_reply.append(len(builds))
+        return real_payload(self)
+
+    monkeypatch.setattr(server_mod, "build_pipeline", slow_pipeline)
+    monkeypatch.setattr(server_mod._Connection, "stats_payload", recording_payload)
+    server, endpoint, thread = make_server(corpus)
+    sock, reader = raw_hello(endpoint, max_credits=4)
+    reader.read_frame()  # HELLO reply
+    sock.sendall(encode_frame(MsgType.CREDIT, struct.pack("<I", 4)))
+    assert reader.read_frame()[0] == MsgType.BATCH
+    sock.sendall(encode_frame(MsgType.STATS, b""))  # batch 1 is being built
+    msg_type, payload = reader.read_frame()
+    assert msg_type == MsgType.STATS
+    assert json.loads(payload.decode())["batches_sent"] == 1
+    assert builds_at_reply == [2]
+    assert reader.read_frame()[0] == MsgType.BATCH
+    sock.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 @pytest.mark.parametrize("payload", [b"", b"\x01", b"\x01\x00\x00", b"\x01" + bytes(5)],
                          ids=["0-bytes", "1-byte", "3-bytes", "6-bytes"])
 def test_credit_payload_not_4_bytes_resets_connection(corpus, payload):

@@ -1,11 +1,19 @@
-"""Trainer simulation: utilization metric, ring allreduce, gradient clipping."""
+"""Trainer simulation: utilization metric, ring allreduce, gradient clipping,
+and the servers-versus-consumers bench."""
 
+import copy
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import esf.client
+import esf.server
+import esf.trainsim
+from esf.config import merge_config, server_config
 from esf.errors import DeliveryError
+from esf.synth import write_synth_corpus
 from esf.trainsim import (GradientVector, ThroughputStats, clip_by_global_norm,
                           consume_epoch, merge_streams, ring_allreduce)
 
@@ -138,3 +146,66 @@ def test_clip_names_nonfinite_worker():
              GradientVector(np.array([np.nan]), 7)]
     with pytest.raises(ValueError, match="worker 7"):
         clip_by_global_norm(grads, 1.0)
+
+
+class InProcessServer:
+    """What _run_bench_once uses of a launched server, run on a thread."""
+
+    def __init__(self, cfg: dict):
+        self.server = esf.server.ExampleServer(server_config(cfg))
+        self.endpoint = self.server.start()
+        self.thread = threading.Thread(target=self.server.run, daemon=True)
+        self.thread.start()
+
+    def terminate(self):
+        pass  # the server ends once its slots have
+
+    def wait(self, timeout=None):
+        self.thread.join(timeout)
+
+
+def test_bench_gives_consumer_g_slot_g_plus_j_at_server_j(tmp_path, monkeypatch):
+    # 14 shards of 2 utterances: the 3 servers own 5, 5 and 4 shards, so
+    # their 2 slots hold (3, 2), (3, 2) and (2, 2). A consumer that took
+    # slot 0 everywhere would get 8 shards and the other 6; in rotation
+    # each gets 7.
+    shards, vocab = write_synth_corpus(str(tmp_path), 28, 14, seed=23,
+                                       duration_range=(0.1, 0.2))
+    cfg = merge_config(None)
+    cfg["pipeline"].update(shard_paths=shards.shard_paths, vocab_path=vocab,
+                           batch_size=1, shuffle_buffer=4)
+    servers = []
+
+    def fake_launch(n, config):
+        for j in range(n):
+            server_cfg = copy.deepcopy(config)
+            server_cfg["server"].update(server_index=j, server_count=n)
+            server_cfg["pipeline"]["seed"] += j
+            servers.append(InProcessServer(server_cfg))
+        return servers
+
+    server_of = {}
+    real_connect = esf.client.connect_consumer
+
+    def recording_connect(addr, **kwargs):
+        consumer = real_connect(addr, **kwargs)
+        server_of[consumer] = [s.endpoint for s in servers].index(addr)
+        return consumer
+
+    held = []  # per consumer, in order: (server, slot) of each connection
+    real_merge = esf.trainsim.merge_streams
+
+    def recording_merge(conns):
+        held.append([(server_of[c], c.assignment["slot"]) for c in conns])
+        return real_merge(conns)
+
+    monkeypatch.setattr(esf.server, "launch_servers", fake_launch)
+    monkeypatch.setattr(esf.client, "connect_consumer", recording_connect)
+    monkeypatch.setattr(esf.trainsim, "merge_streams", recording_merge)
+    stats, per_consumer = esf.trainsim._run_bench_once(3, 2, 0.0, cfg, 5)
+    for s in servers:
+        s.wait(10)
+        assert not s.thread.is_alive()
+    assert held == [[(j, (g + j) % 2) for j in range(3)] for g in range(2)]
+    assert per_consumer == [14, 14]  # batches of 1: 7 shards' utterances each
+    assert stats.batches == 28 and not stats.incomplete
