@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import socket
 import sys
 import tempfile
@@ -34,8 +35,9 @@ _SERVER_FLAGS = {"pipelines": "server.num_pipelines", "epochs": "server.epochs",
 SHORTHANDS = {
     "serve": _SERVER_FLAGS,
     "launch": _SERVER_FLAGS,
-    "bench": {dest: f"bench.{dest}" for dest in
-              ("servers", "consumers", "step_cost", "repeats", "utterances")},
+    "bench": {**{dest: f"bench.{dest}" for dest in
+                 ("servers", "consumers", "step_cost", "repeats", "utterances")},
+              "seed": "pipeline.seed"},
     "decode": {"lambda_p": "fusion.lambda_prior", "lambda_lm": "fusion.lambda_lm",
                "beam": "fusion.beam_size", "max_len": "fusion.max_len"},
 }
@@ -83,7 +85,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("features", help="dump features of a wav as CSV, one frame per row")
     p.add_argument("--kind", choices=["power_mel", "mfcc"], default="power_mel")
     p.add_argument("--num-filters", type=int, default=dsp.DEFAULT_NUM_FILTERS)
-    p.add_argument("--num-ceps", type=int, default=13)
+    p.add_argument("--num-ceps", type=int, default=dsp.DEFAULT_NUM_CEPS)
     p.add_argument("input")
     p.add_argument("output", nargs="?", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_features)
@@ -123,7 +125,7 @@ def build_parser() -> Parser:
     p.add_argument("--step-cost", type=non_negative_float)
     p.add_argument("--repeats", type=int)
     p.add_argument("--utterances", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -148,9 +150,10 @@ def build_parser() -> Parser:
 
 
 def config_from_args(args) -> dict:
-    """Defaults, then --config or $ESF_CONFIG, then --set, then shorthand flags."""
+    """Defaults, BENCH_BASE (bench only), --config or $ESF_CONFIG, --set, flags."""
     cfg = cfgmod.load_config(getattr(args, "config", None),
-                             getattr(args, "overrides", None))
+                             getattr(args, "overrides", None),
+                             cfgmod.BENCH_BASE if args.command == "bench" else None)
     for dest, field in SHORTHANDS.get(args.command, {}).items():
         section, _, key = field.partition(".")
         if getattr(args, dest) is not None:
@@ -332,8 +335,9 @@ def host_port(text: str) -> tuple[str, int]:
 
 
 def non_negative_float(text: str) -> float:
-    if not float(text) >= 0:  # NaN too
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    if not 0 <= float(text) < math.inf:  # NaN too
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
     return float(text)
 
 
@@ -358,24 +362,21 @@ def cmd_bench(args) -> int:
     from .trainsim import BENCH_CSV_HEADER, bench_scaling
 
     cfg = config_from_args(args)
-    bench = cfg["bench"]
+    bench = cfgmod.bench_config(cfg)  # a bad value fails before any file or server
+    servers = list(bench.servers)
+    seed = cfgmod.pipeline_config(cfg).seed
 
     with tempfile.TemporaryDirectory(prefix="esf-bench-") as tmp:
         shards, vocab = write_synth_corpus(
-            tmp, bench["utterances"], bench["num_shards"], seed=args.seed,
-            sample_rate=bench["sample_rate"],
-            duration_range=tuple(bench["duration_range"]))
+            tmp, bench.utterances, bench.num_shards, seed=seed,
+            sample_rate=bench.sample_rate, duration_range=bench.duration_range)
         cfg["pipeline"]["shard_paths"] = shards.shard_paths
         cfg["pipeline"]["vocab_path"] = vocab
-        cfg["pipeline"]["batch_size"] = bench["batch_size"]
-        cfg["pipeline"]["shuffle_buffer"] = bench["shuffle_buffer"]
-        cfg["acoustic"]["max_image_order"] = bench["max_image_order"]
-        cfg["acoustic"]["probability_of_reverb"] = bench["probability_of_reverb"]
-        print(f"benchmarking S={bench['servers']} G={bench['consumers']} "
-              f"step_cost={bench['step_cost']}s corpus={bench['utterances']} utts",
+        print(f"benchmarking S={servers} G={bench.consumers} "
+              f"step_cost={bench.step_cost}s corpus={bench.utterances} utts",
               file=sys.stderr)
-        rows = bench_scaling(bench["servers"], bench["consumers"], bench["step_cost"],
-                             cfg, repeats=bench["repeats"], seed_base=args.seed)
+        rows = bench_scaling(servers, bench.consumers, bench.step_cost,
+                             cfg, repeats=bench.repeats, seed_base=seed)
     print(BENCH_CSV_HEADER)
     for row in rows:
         print(row.csv())

@@ -3,8 +3,9 @@
 Sections mirror the modules; unknown sections or keys are rejected with a
 path-qualified error so typos cannot silently fall back to defaults. Every
 value can also be overridden by a CLI flag. The ESF_CONFIG environment
-variable names the default config file. The sections in SECTIONS take their
-keys, defaults and types from the fields of their dataclasses.
+variable names the default config file. Every section but fusion is one of
+the SECTIONS, whose keys, defaults and types are the fields of its dataclass;
+a range such as vtlp.alpha_range is a JSON list.
 """
 
 from __future__ import annotations
@@ -18,18 +19,24 @@ from .acoustic import SimulatorConfig
 from .errors import ConfigurationError
 from .pipeline import PipelineConfig
 from .server import ServerConfig
+from .trainsim import BenchConfig
 from .vtlp import WarpSpec
 
 ENV_VAR = "ESF_CONFIG"
 
 SECTIONS = {"pipeline": PipelineConfig, "vtlp": WarpSpec,
-            "acoustic": SimulatorConfig, "server": ServerConfig}
-# Keys that are not one per field: the on/off switch of an optional stage,
-# and WarpSpec.alpha_range written as two keys.
+            "acoustic": SimulatorConfig, "server": ServerConfig,
+            "bench": BenchConfig}
+# Optional stages, which add an on/off switch to their fields.
 ENABLED = ("vtlp", "acoustic")
-SPLIT = {"vtlp": {"alpha_range": ("alpha_min", "alpha_max")}}
 # ServerConfig fields that are built from the other sections.
 NESTED = ("pipeline", "warp_spec", "sim_config")
+
+# The criterion-7 shape of esf bench: its lowest layer above the defaults.
+BENCH_BASE = {
+    "pipeline": {"batch_size": 2, "shuffle_buffer": 16},
+    "acoustic": {"max_image_order": 4, "probability_of_reverb": 0.2},
+}
 
 
 def _keys(section: str):
@@ -38,29 +45,13 @@ def _keys(section: str):
         yield "enabled", True
     for f in dataclasses.fields(SECTIONS[section]):
         default = [] if f.default is dataclasses.MISSING else f.default  # shard_paths
-        if f.name in SPLIT.get(section, {}):
-            yield from zip(SPLIT[section][f.name], default)
-        elif f.name not in NESTED:
+        if f.name not in NESTED:
             yield f.name, default
 
 
 DEFAULTS: dict = {
     **{section: json.loads(json.dumps(dict(_keys(section))))  # tuples as lists
        for section in SECTIONS},
-    "bench": {
-        "servers": [1, 2, 3, 4, 5],
-        "consumers": 2,
-        "step_cost": 0.02,
-        "repeats": 3,
-        "utterances": 2000,
-        "num_shards": 200,
-        "batch_size": 2,
-        "shuffle_buffer": 16,
-        "sample_rate": 16000,
-        "duration_range": [0.1, 0.2],
-        "max_image_order": 4,
-        "probability_of_reverb": 0.2,
-    },
     "fusion": {
         "lambda_prior": 0.0,
         "lambda_lm": 0.0,
@@ -88,11 +79,13 @@ def merge_config(*docs: dict | None) -> dict:
     return cfg
 
 
-def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
+def load_config(path: str | None, overrides: list[str] | None = None,
+                base: dict | None = None) -> dict:
     """Load and validate a config file; fall back to ESF_CONFIG, then defaults.
 
-    overrides are "section.key=value" strings (values parsed as JSON when
-    possible) applied on top, so every config field has a CLI override.
+    base is laid on the defaults first, under the file. overrides are
+    "section.key=value" strings (values parsed as JSON when possible) applied
+    on top, so every config field has a CLI override.
     """
     if path is None:
         path = os.environ.get(ENV_VAR)
@@ -115,7 +108,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
         except json.JSONDecodeError:
             value = raw
         sets.setdefault(section, {})[field] = value
-    return merge_config(doc, sets)
+    return merge_config(base, doc, sets)
 
 
 def _convert(default, value):
@@ -145,9 +138,10 @@ def _build(cfg: dict, section: str, **nested):
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"{section}.{key}: {exc}") from exc
     kwargs.pop("enabled", None)
-    for field, keys in SPLIT.get(section, {}).items():
-        kwargs[field] = tuple(kwargs.pop(key) for key in keys)
-    return SECTIONS[section](**kwargs, **nested)
+    try:
+        return SECTIONS[section](**kwargs, **nested)
+    except ValueError as exc:  # a range of the wrong length
+        raise ConfigurationError(f"{section}: {exc}") from exc
 
 
 def pipeline_config(cfg: dict) -> PipelineConfig:
@@ -165,3 +159,7 @@ def simulator_config(cfg: dict) -> SimulatorConfig | None:
 def server_config(cfg: dict) -> ServerConfig:
     return _build(cfg, "server", pipeline=pipeline_config(cfg),
                   warp_spec=warp_spec(cfg), sim_config=simulator_config(cfg))
+
+
+def bench_config(cfg: dict) -> BenchConfig:
+    return _build(cfg, "bench")

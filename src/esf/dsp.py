@@ -26,6 +26,7 @@ MFCC_LOG_FLOOR = 1e-10
 DEFAULT_WINDOW_MS = 25.0
 DEFAULT_HOP_MS = 10.0
 DEFAULT_NUM_FILTERS = 40
+DEFAULT_NUM_CEPS = 13
 DEFAULT_FMIN = 125.0
 DEFAULT_FMAX = 7600.0
 
@@ -314,7 +315,7 @@ def power_mel_features(e: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(np.power(values, POWER_LAW_EXPONENT), "power_mel")
 
 
-def mfcc(e: FeatureMatrix, num_ceps: int = 13) -> FeatureMatrix:
+def mfcc(e: FeatureMatrix, num_ceps: int = DEFAULT_NUM_CEPS) -> FeatureMatrix:
     """Log of floored mel energies followed by an orthonormal type-II DCT."""
     import scipy.fft  # here, not at the top, to keep scipy off the server's imports
 
@@ -342,7 +343,7 @@ def extract_power_mel(w: Waveform, cfg: StftConfig | None = None,
 
 
 def extract_mfcc(w: Waveform, cfg: StftConfig | None = None,
-                 num_filters: int = DEFAULT_NUM_FILTERS, num_ceps: int = 13,
+                 num_filters: int = DEFAULT_NUM_FILTERS, num_ceps: int = DEFAULT_NUM_CEPS,
                  fmin: float = DEFAULT_FMIN, fmax: float = DEFAULT_FMAX) -> FeatureMatrix:
     """Waveform to MFCC baseline features."""
     cfg = cfg or feature_config(w.sample_rate)

@@ -76,8 +76,9 @@ def _hello_credits(msg_type: MsgType, payload: bytes) -> int:
         raise ValueError("HELLO is not UTF-8 JSON") from None
     if not isinstance(hello, dict):
         raise ValueError("HELLO is not a JSON object")
-    if hello.get("version") != 1:
-        raise ValueError(f"version mismatch: {hello.get('version')}")
+    version = hello.get("version")
+    if type(version) is not int or version != 1:  # not True, not 1.0
+        raise ValueError(f"version mismatch: {version}")
     max_credits = hello.get("max_credits", DEFAULT_MAX_CREDITS)
     if type(max_credits) is not int or max_credits < 1:
         raise ValueError("max_credits must be an integer >= 1")

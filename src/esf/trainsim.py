@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-import statistics
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DeliveryError, EsfError
+from .errors import ConfigurationError, DeliveryError, EsfError
 from .util import round_robin
 
 
@@ -46,8 +46,8 @@ def consume_epoch(stream: Iterable, step_cost: float) -> ThroughputStats:
 
     A broken stream (DeliveryError) yields partial stats flagged incomplete.
     """
-    if step_cost < 0:
-        raise ValueError("step_cost must be >= 0")
+    if not 0 <= step_cost < math.inf:  # NaN too
+        raise ValueError("step_cost must be a finite number >= 0")
     session = 0.0
     batches = 0
     incomplete = False
@@ -119,6 +119,33 @@ def clip_by_global_norm(grads: Sequence[GradientVector],
         scale = clip_norm / global_norm
         return [GradientVector(g.values * scale, g.worker_id) for g in grads]
     return [GradientVector(g.values.copy(), g.worker_id) for g in grads]
+
+
+@dataclass
+class BenchConfig:
+    """The bench config section: the study's shape and its synthetic corpus."""
+
+    servers: tuple[int, ...] = (1, 2, 3, 4, 5)
+    consumers: int = 2
+    step_cost: float = 0.02
+    repeats: int = 3
+    utterances: int = 2000
+    num_shards: int = 200
+    sample_rate: int = 16000
+    duration_range: tuple[float, float] = (0.1, 0.2)
+
+    def __post_init__(self):
+        if not self.servers or min(self.servers) < 1:
+            raise ConfigurationError(
+                f"servers must be a non-empty list of counts >= 1, "
+                f"got {list(self.servers)}")
+        if not 0 <= self.step_cost < math.inf:
+            raise ConfigurationError(
+                f"step_cost must be a finite number >= 0, got {self.step_cost}")
+        if self.consumers < 1:
+            raise ConfigurationError("consumers must be >= 1")
+        if self.repeats < 1:
+            raise ConfigurationError("repeats must be >= 1")
 
 
 @dataclass
@@ -208,8 +235,8 @@ def bench_scaling(server_counts: Sequence[int], consumers: int, step_cost: float
             batch_counts.append(st.batches)
             consumer_batches.append(per_consumer)
         rows.append(BenchRow(s, consumers, s / consumers,
-                             statistics.median(epoch_times),
-                             statistics.median(t_sessions),
+                             float(np.median(epoch_times)),
+                             float(np.median(t_sessions)),
                              batch_counts[len(batch_counts) // 2],
                              consumer_batches))
     return rows

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, reproducibility."""
 
+import copy
 import hashlib
 import io
 import json
@@ -225,12 +226,22 @@ def test_set_flag_overrides_any_field(dryrun_config, capsys):
     (["pipeline-dryrun", "--set", "acoustic.t60_range=0.5"], "acoustic.t60_range"),
     (["launch", "--servers", "1", "--set", "server.epochs=x"], "server.epochs"),
     (["pipeline-dryrun", "--set", "vtlp.enabled=False"], "vtlp.enabled"),
+    (["bench", "--set", "bench.step_cost=-0.5"], "step_cost"),
+    (["bench", "--set", "bench.step_cost=inf"], "step_cost"),
+    (["bench", "--set", "bench.servers=[0]"], "servers"),
+    (["bench", "--set", "bench.servers=[]"], "servers"),
+    (["bench", "--consumers", "0"], "consumers"),
+    (["bench", "--repeats", "0"], "repeats"),
+    (["bench", "--seed", "1", "--set", "pipeline.batch_size=0"], "batch_size"),
 ])
 def test_config_value_errors_are_usage_errors(argv, key, monkeypatch, capsys):
+    # found before the bench corpus is written or any server starts
     monkeypatch.delenv("ESF_CONFIG", raising=False)
     monkeypatch.setattr(esf.server, "serve", lambda *a, **k: pytest.fail("served"))
     monkeypatch.setattr(esf.server, "launch_servers",
                         lambda *a, **k: pytest.fail("launched"))
+    monkeypatch.setattr(esf.synth, "write_synth_corpus",
+                        lambda *a, **k: pytest.fail("wrote the corpus"))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
@@ -365,30 +376,84 @@ def test_bench_writes_its_launch_settings_into_the_config(monkeypatch):
     assert launch_settings(cfg) == (9, 1, 5)
 
 
-@pytest.mark.parametrize("extra, expected", [
-    ([], ([2], 3, 0.5, 2, 7)),
-    (["--set", "bench.consumers=4", "--set", "bench.repeats=5"], ([2], 4, 0.5, 5, 7)),
-    (["--set", "bench.consumers=4", "--servers", "1..3", "--consumers", "1",
-      "--step-cost", "0.0", "--repeats", "1", "--utterances", "9"],
-     ([1, 2, 3], 1, 0.0, 1, 9)),
-])
-def test_bench_precedence_file_then_set_then_flags(extra, expected, layered_config,
-                                                   monkeypatch, capsys):
-    calls = []
+def fake_bench_run(monkeypatch):
+    """Fakes the corpus and the study; returns what each of them was given."""
+    seen = {}
 
     def fake_corpus(out_dir, n, num_shards, **kwargs):
-        calls.append(n)
-        return type("Shards", (), {"shard_paths": []})(), "vocab.txt"
+        seen["corpus"] = dict(kwargs, utterances=n, num_shards=num_shards)
+        return type("Shards", (), {"shard_paths": ["s.esrd"]})(), "vocab.txt"
 
     def fake_bench(servers, consumers, step_cost, cfg, repeats, seed_base):
-        calls.append((servers, consumers, step_cost, repeats))
+        seen["bench"] = (servers, consumers, step_cost, repeats, seed_base)
+        seen["cfg"] = copy.deepcopy(cfg)
         return []
 
     monkeypatch.setattr(esf.synth, "write_synth_corpus", fake_corpus)
     monkeypatch.setattr(esf.trainsim, "bench_scaling", fake_bench)
+    return seen
+
+
+def bench_shape(cfg):
+    return (cfg["pipeline"]["batch_size"], cfg["pipeline"]["shuffle_buffer"],
+            cfg["acoustic"]["max_image_order"], cfg["acoustic"]["probability_of_reverb"],
+            cfg["pipeline"]["seed"])
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ([], ([2], 3, 0.5, 2, 7, 42)),
+    (["--set", "bench.consumers=4", "--set", "bench.repeats=5",
+      "--set", "pipeline.seed=6"], ([2], 4, 0.5, 5, 7, 6)),
+    (["--set", "bench.consumers=4", "--servers", "1..3", "--consumers", "1",
+      "--step-cost", "0.0", "--repeats", "1", "--utterances", "9", "--seed", "9"],
+     ([1, 2, 3], 1, 0.0, 1, 9, 9)),
+])
+def test_bench_precedence_file_then_set_then_flags(extra, expected, layered_config,
+                                                   monkeypatch, capsys):
+    seen = fake_bench_run(monkeypatch)
     assert main(["bench", "--config", layered_config, *extra]) == 0
-    servers, consumers, step_cost, repeats, utterances = expected
-    assert calls == [utterances, (servers, consumers, step_cost, repeats)]
+    servers, consumers, step_cost, repeats, utterances, seed = expected
+    assert seen["corpus"]["utterances"] == utterances
+    assert seen["bench"] == (servers, consumers, step_cost, repeats, seed)
+    # --seed is the pipeline.seed shorthand: it seeds the corpus and the study
+    assert seen["corpus"]["seed"] == seen["cfg"]["pipeline"]["seed"] == seed
+
+
+def test_default_bench_runs_the_criterion_7_shape(monkeypatch, capsys):
+    monkeypatch.delenv("ESF_CONFIG", raising=False)
+    seen = fake_bench_run(monkeypatch)
+    assert main(["bench"]) == 0
+    assert bench_shape(seen["cfg"]) == (2, 16, 4, 0.2, 0)
+    assert seen["bench"] == ([1, 2, 3, 4, 5], 2, 0.02, 3, 0)
+    assert seen["corpus"] == {"utterances": 2000, "num_shards": 200, "seed": 0,
+                              "sample_rate": 16000, "duration_range": (0.1, 0.2)}
+    assert seen["cfg"]["pipeline"]["shard_paths"] == ["s.esrd"]
+    assert seen["cfg"]["pipeline"]["vocab_path"] == "vocab.txt"
+
+
+def test_bench_set_reaches_the_study(monkeypatch, capsys):
+    # the bench shape is only the lowest layer: --set beats it, and the
+    # corpus and the study take their seed from pipeline.seed
+    monkeypatch.delenv("ESF_CONFIG", raising=False)
+    seen = fake_bench_run(monkeypatch)
+    assert main(["bench", "--set", "pipeline.batch_size=4",
+                 "--set", "pipeline.shuffle_buffer=8",
+                 "--set", "acoustic.max_image_order=6",
+                 "--set", "acoustic.probability_of_reverb=1.0",
+                 "--set", "pipeline.seed=42"]) == 0
+    assert bench_shape(seen["cfg"]) == (4, 8, 6, 1.0, 42)
+    assert seen["corpus"]["seed"] == 42
+    assert seen["bench"][-1] == 42  # seed_base
+
+
+def test_bench_file_beats_the_bench_shape(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"pipeline": {"batch_size": 3},
+                                "acoustic": {"probability_of_reverb": 0.5}}))
+    monkeypatch.setenv("ESF_CONFIG", str(path))
+    seen = fake_bench_run(monkeypatch)
+    assert main(["bench"]) == 0
+    assert bench_shape(seen["cfg"]) == (3, 16, 4, 0.5, 0)
 
 
 @pytest.mark.parametrize("extra, expected", [
@@ -446,14 +511,16 @@ def test_consume_unreachable_server_is_network_error():
 @pytest.mark.parametrize("argv", [
     ["consume", "--addr", "127.0.0.1:1", "--step-cost", "-1"],
     ["consume", "--addr", "127.0.0.1:1", "--step-cost", "nan"],
+    ["consume", "--addr", "127.0.0.1:1", "--step-cost", "inf"],
     ["consume", "--addr", "127.0.0.1:1", "--max-credits", "0"],
     ["bench", "--servers", "3..1"],
     ["bench", "--servers", "0,1"],
     ["bench", "--servers", ","],
     ["bench", "--step-cost", "-0.5"],
-], ids=["consume-negative-step-cost", "consume-nan-step-cost", "consume-zero-credits",
-        "bench-empty-range", "bench-zero-servers", "bench-no-servers",
-        "bench-negative-step-cost"])
+    ["bench", "--step-cost", "inf"],
+], ids=["consume-negative-step-cost", "consume-nan-step-cost", "consume-inf-step-cost",
+        "consume-zero-credits", "bench-empty-range", "bench-zero-servers",
+        "bench-no-servers", "bench-negative-step-cost", "bench-inf-step-cost"])
 def test_bad_consume_and_bench_flags_are_usage_errors_before_any_socket(
         argv, monkeypatch, capsys):
     calls = []

@@ -11,6 +11,7 @@ from esf.config import merge_config
 from esf.errors import ConfigurationError
 from esf.pipeline import PipelineConfig
 from esf.server import ServerConfig
+from esf.trainsim import BenchConfig
 from esf.vtlp import WarpSpec
 
 # The whole defaults document as it stood when the sections were hand-written;
@@ -29,8 +30,7 @@ EXPECTED_DEFAULTS = {
     },
     "vtlp": {
         "enabled": True,
-        "alpha_min": 0.8,
-        "alpha_max": 1.2,
+        "alpha_range": [0.8, 1.2],
         "window_ms": 50.0,
         "hop_ms": 12.5,
         "dft_size": 1024,
@@ -61,12 +61,8 @@ EXPECTED_DEFAULTS = {
         "repeats": 3,
         "utterances": 2000,
         "num_shards": 200,
-        "batch_size": 2,
-        "shuffle_buffer": 16,
         "sample_rate": 16000,
         "duration_range": [0.1, 0.2],
-        "max_image_order": 4,
-        "probability_of_reverb": 0.2,
     },
     "fusion": {
         "lambda_prior": 0.0,
@@ -107,7 +103,7 @@ def test_server_config_coerces_json_values():
     doc = {
         "pipeline": {"shard_paths": ["a.esrd", "b.esrd"], "batch_size": 8.7,
                      "pad_value": 1, "seed": 42, "vocab_path": "v.txt"},
-        "vtlp": {"alpha_min": 1, "alpha_max": 1, "window_ms": 40, "hop_ms": 10,
+        "vtlp": {"alpha_range": [1, 1], "window_ms": 40, "hop_ms": 10,
                  "dft_size": 512},
         "acoustic": {"dim_ranges": [[4, 6], [3, 5], [3, 4]], "t60_range": [1, 1],
                      "snr_range_db": [5, 20], "probability_of_reverb": 1,
@@ -144,17 +140,18 @@ def test_disabled_stages_build_none():
     assert cfgmod.simulator_config(merge_config(None)) == SimulatorConfig()
 
 
-@pytest.mark.parametrize("section, cls, extra, split, nested", [
-    ("pipeline", PipelineConfig, [], {}, []),
-    ("vtlp", WarpSpec, ["enabled"], {"alpha_range": ["alpha_min", "alpha_max"]}, []),
-    ("acoustic", SimulatorConfig, ["enabled"], {}, []),
-    ("server", ServerConfig, [], {}, ["pipeline", "warp_spec", "sim_config"]),
+@pytest.mark.parametrize("section, cls, extra, nested", [
+    ("pipeline", PipelineConfig, [], []),
+    ("vtlp", WarpSpec, ["enabled"], []),
+    ("acoustic", SimulatorConfig, ["enabled"], []),
+    ("server", ServerConfig, [], ["pipeline", "warp_spec", "sim_config"]),
+    ("bench", BenchConfig, [], []),
 ])
-def test_section_keys_are_the_dataclass_fields(section, cls, extra, split, nested):
+def test_section_keys_are_the_dataclass_fields(section, cls, extra, nested):
     expected = list(extra)
     for f in dataclasses.fields(cls):
         if f.name not in nested:
-            expected += split.get(f.name, [f.name])
+            expected.append(f.name)
     assert list(merge_config(None)[section]) == expected
     # every key is a --set target that round-trips its own default
     for key, value in merge_config(None)[section].items():
@@ -169,6 +166,9 @@ def test_set_keys_are_checked_like_file_keys():
         cfgmod.load_config(None, ["pipeline.nope=1"])
     with pytest.raises(ConfigurationError, match="unknown config section 'mystery'"):
         cfgmod.load_config(None, ["mystery.x=1"])
+    for key in ("alpha_min", "alpha_max"):  # vtlp.alpha_range is one list key
+        with pytest.raises(ConfigurationError, match=f"unknown config key vtlp.{key}"):
+            cfgmod.load_config(None, [f"vtlp.{key}=0.9"])
     cfg = cfgmod.load_config(None, ["pipeline.vocab_path=v.txt",
                                     "pipeline.seed=3", "pipeline.seed=4"])
     assert cfg["pipeline"]["vocab_path"] == "v.txt"  # not JSON: kept as text
@@ -178,10 +178,14 @@ def test_set_keys_are_checked_like_file_keys():
 @pytest.mark.parametrize("build, section, key, value", [
     (cfgmod.pipeline_config, "pipeline", "batch_size", "abc"),
     (cfgmod.pipeline_config, "pipeline", "seed", None),
-    (cfgmod.warp_spec, "vtlp", "alpha_max", "wide"),
+    (cfgmod.warp_spec, "vtlp", "alpha_range", "wide"),
     (cfgmod.simulator_config, "acoustic", "t60_range", 0.5),
     (cfgmod.simulator_config, "acoustic", "dim_ranges", [[3, "x"], [3, 4], [3, 4]]),
     (cfgmod.server_config, "server", "port", [1]),
+    (cfgmod.bench_config, "bench", "servers", 3),
+    (cfgmod.bench_config, "bench", "servers", ["two"]),
+    (cfgmod.bench_config, "bench", "step_cost", "fast"),
+    (cfgmod.bench_config, "bench", "duration_range", 0.2),
 ])
 def test_bad_value_is_a_configuration_error_naming_its_key(build, section, key, value):
     cfg = merge_config({section: {key: value}})
@@ -214,3 +218,31 @@ def test_set_enabled_capital_false_is_rejected(monkeypatch):
     with pytest.raises(ConfigurationError, match="vtlp.enabled"):
         cfgmod.warp_spec(cfgmod.load_config(None, ["vtlp.enabled=False"]))
     assert cfgmod.warp_spec(cfgmod.load_config(None, ["vtlp.enabled=false"])) is None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("servers", []), ("servers", [0]), ("servers", [2, -1]),
+    ("step_cost", -0.5), ("step_cost", "inf"), ("step_cost", "nan"),
+    ("consumers", 0), ("repeats", 0),
+])
+def test_bench_config_range_errors_are_configuration_errors(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        cfgmod.bench_config(merge_config({"bench": {key: value}}))
+
+
+def test_bench_config_builds_typed_values():
+    cfg = merge_config({"bench": {"servers": [1, 3.0], "step_cost": 0,
+                                  "duration_range": [1, 2]}})
+    assert cfgmod.bench_config(cfg) == BenchConfig(
+        servers=(1, 3), step_cost=0.0, duration_range=(1.0, 2.0))
+    assert cfgmod.bench_config(merge_config(None)) == BenchConfig()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("vtlp", "alpha_range", [0.9]),
+    ("vtlp", "alpha_range", [0.8, 1.0, 1.2]),
+    ("acoustic", "t60_range", [0.2, 0.4, 0.8]),
+])
+def test_range_of_the_wrong_length_is_a_configuration_error(section, key, value):
+    with pytest.raises(ConfigurationError, match=f"{section}: "):
+        cfgmod.server_config(merge_config({section: {key: value}}))

@@ -534,11 +534,12 @@ def test_handshake_failure_raises_delivery_error_and_closes(reply):
 
 def test_version_mismatch_gets_error_frame(corpus):
     server, endpoint, thread = make_server(corpus)
-    sock, reader = raw_hello(endpoint, version=99)
-    msg_type, payload = reader.read_frame()
-    assert msg_type == MsgType.ERROR
-    assert "version" in json.loads(payload.decode())["message"]
-    sock.close()
+    for version in (99, True, 1.0):  # True == 1 and 1.0 == 1 in Python
+        sock, reader = raw_hello(endpoint, version=version)
+        msg_type, payload = reader.read_frame()
+        assert msg_type == MsgType.ERROR
+        assert "version" in json.loads(payload.decode())["message"]
+        sock.close()
     # real consumer can still complete afterwards
     with connect_consumer(endpoint) as c:
         assert sum(b.size for b in c) == 10

@@ -2,6 +2,7 @@
 and the servers-versus-consumers bench."""
 
 import copy
+import math
 import threading
 import time
 
@@ -59,8 +60,9 @@ def test_consume_epoch_flags_delivery_error():
 
 
 def test_consume_epoch_rejects_negative_step():
-    with pytest.raises(ValueError):
-        consume_epoch(iter([]), -1.0)
+    for step_cost in (-1.0, math.inf):  # time.sleep(inf) raises OverflowError
+        with pytest.raises(ValueError):
+            consume_epoch(iter([]), step_cost)
 
 
 def test_merge_streams_round_robin_and_drain():
