@@ -112,12 +112,23 @@ def load_config(path: str | None, overrides: list[str] | None = None,
 
 
 def _convert(default, value):
-    """value as the type of default: numbers converted, tuples per element."""
+    """value as the type of default: numbers checked, tuples per element.
+
+    A float key takes any JSON number; an int key takes an integer, or a
+    float only if it is integral. A bool or a string is never a number, and
+    nothing is truncated. A list key takes a list, not a string's characters.
+    """
     if isinstance(default, tuple):
         return tuple(_convert(default[0], v) for v in value)
     if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
         return list(value)
     if isinstance(default, (int, float)):
+        if type(value) not in (int, float):  # not True, not "8"
+            raise TypeError(f"expected a number, got {value!r}")
+        if isinstance(default, int) and type(value) is float and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
         return type(default)(value)
     return value
 
@@ -133,11 +144,12 @@ def _build(cfg: dict, section: str, **nested):
         return None
     kwargs = {}
     for key, default in _keys(section):
+        if key == "enabled":  # the switch, checked above
+            continue
         try:
             kwargs[key] = _convert(default, values[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int too big for a float
             raise ConfigurationError(f"{section}.{key}: {exc}") from exc
-    kwargs.pop("enabled", None)
     try:
         return SECTIONS[section](**kwargs, **nested)
     except ValueError as exc:  # a range of the wrong length

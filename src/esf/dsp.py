@@ -315,17 +315,31 @@ def power_mel_features(e: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(np.power(values, POWER_LAW_EXPONENT), "power_mel")
 
 
-def mfcc(e: FeatureMatrix, num_ceps: int = DEFAULT_NUM_CEPS) -> FeatureMatrix:
-    """Log of floored mel energies followed by an orthonormal type-II DCT."""
-    import scipy.fft  # here, not at the top, to keep scipy off the server's imports
+@functools.lru_cache(maxsize=16)
+def _dct_matrix(n: int) -> np.ndarray:
+    """(n, n) orthonormal type-II DCT matrix: x @ _dct_matrix(n).T is the DCT of x.
 
+    Row k is sqrt(2/n) cos(pi k (2m + 1) / 2n) over m, row 0 scaled by
+    1/sqrt(2). The integer k (2m + 1) is reduced modulo the period 4n before
+    the cosine, so no angle is large. Cached per n; treat the returned array
+    as read-only.
+    """
+    phase = np.arange(n)[:, None] * (2 * np.arange(n) + 1) % (4 * n)
+    d = np.cos(np.pi * phase / (2 * n)) * math.sqrt(2.0 / n)
+    d[0] *= math.sqrt(0.5)
+    d.setflags(write=False)
+    return d
+
+
+def mfcc(e: FeatureMatrix, num_ceps: int = DEFAULT_NUM_CEPS) -> FeatureMatrix:
+    """Log of floored mel energies followed by an orthonormal type-II DCT,
+    of which the first num_ceps coefficients are kept."""
     values = np.asarray(e.values if isinstance(e, FeatureMatrix) else e, dtype=np.float64)
     if num_ceps > values.shape[1]:
         raise ValueError(
             f"num_ceps ({num_ceps}) cannot exceed the filter count ({values.shape[1]})")
     log_e = np.log(np.maximum(values, MFCC_LOG_FLOOR))
-    ceps = scipy.fft.dct(log_e, type=2, norm="ortho", axis=1)
-    return FeatureMatrix(ceps[:, :num_ceps], "mfcc")
+    return FeatureMatrix(log_e @ _dct_matrix(values.shape[1])[:num_ceps].T, "mfcc")
 
 
 def extract_power_mel(w: Waveform, cfg: StftConfig | None = None,

@@ -187,6 +187,25 @@ def _best(pool: Iterable[Hypothesis]) -> Hypothesis:
     return min(pool, key=lambda h: (-h.score, h.tokens))
 
 
+def _beam_cut(cand: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k best entries of a 1-D float array.
+
+    The set is the first k of a stable argsort of -cand: higher values
+    first, ties to the smaller index, -inf last. The k-th highest value is
+    the threshold; all entries above it are kept, and of those equal to it
+    only as many as fit, smallest indices first. All n are kept if n <= k.
+    """
+    n = cand.size
+    if n <= k:
+        return np.arange(n)
+    kth = np.partition(cand, n - k)[n - k]
+    kept = np.flatnonzero(cand >= kth)
+    if kept.size > k:  # too many ties at the threshold: drop the last ones
+        ties = np.flatnonzero(cand[kept] == kth)
+        kept = np.delete(kept, ties[k - kept.size:])
+    return kept
+
+
 def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
                 weights: FusionWeights, beam_size: int, max_len: int,
                 eos_id: int, context=None) -> Hypothesis:
@@ -203,9 +222,9 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     step, of which the first beam_size in (-score, tokens) order are kept.
     The live hypotheses all have the same length and are kept in token
     order, so a candidate's flat index h * V + v is its rank in token order,
-    and a stable argsort of -score gives the exact order with no tuple
-    comparisons. The at most beam_size kept candidates are then split into
-    finished and live ones, and put back in token order, as Python numbers.
+    and _beam_cut keeps the right set, in token order, with one partition
+    and no tuple comparisons. One pass over the kept indices then splits
+    them into finished and live ones.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -224,18 +243,17 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
         # candidate has the bits of live score + fused step
         cand += scores[:, None]
         cand = cand.ravel()
-        kept = np.argsort(-cand, kind="stable")[:beam_size]
-        grown, kept_scores = [], []
-        # back to token order: the flat index is the candidate's token rank
-        for i, s in sorted(zip(kept.tolist(), cand[kept].tolist())):
+        kept = _beam_cut(cand, beam_size)
+        grown, kept_live = [], []
+        for i in kept.tolist():
             h, v = divmod(i, vocab_size)
             if v == eos_id:
-                finished.append(Hypothesis(live[h] + (v,), s, True))
+                finished.append(Hypothesis(live[h] + (v,), float(cand[i]), True))
             else:
                 grown.append(live[h] + (v,))
-                kept_scores.append(s)
+                kept_live.append(i)
         live = grown
-        scores = np.array(kept_scores)
+        scores = cand[kept_live]
     if finished:
         return _best(finished)
     # live is in token order, so the first best score has the smallest tokens

@@ -135,17 +135,22 @@ class BenchConfig:
     duration_range: tuple[float, float] = (0.1, 0.2)
 
     def __post_init__(self):
+        """Refuse a value no study can run, naming its bench.* key."""
         if not self.servers or min(self.servers) < 1:
             raise ConfigurationError(
-                f"servers must be a non-empty list of counts >= 1, "
+                f"bench.servers must be a non-empty list of counts >= 1, "
                 f"got {list(self.servers)}")
         if not 0 <= self.step_cost < math.inf:
             raise ConfigurationError(
-                f"step_cost must be a finite number >= 0, got {self.step_cost}")
-        if self.consumers < 1:
-            raise ConfigurationError("consumers must be >= 1")
-        if self.repeats < 1:
-            raise ConfigurationError("repeats must be >= 1")
+                f"bench.step_cost must be a finite number >= 0, got {self.step_cost}")
+        for name in ("consumers", "repeats", "utterances", "num_shards", "sample_rate"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"bench.{name} must be >= 1")
+        lo, hi = self.duration_range
+        if not 0 < lo <= hi < math.inf:
+            raise ConfigurationError(
+                f"bench.duration_range must be ordered, positive and finite, "
+                f"got {list(self.duration_range)}")
 
 
 @dataclass

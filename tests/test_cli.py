@@ -29,12 +29,14 @@ SUBCOMMANDS = ["shard", "inspect", "augment", "features", "pipeline-dryrun",
 
 
 def test_server_and_cli_import_without_scipy():
-    # a fresh process: only MFCC (esf features --kind mfcc) loads scipy
+    # a fresh process: scipy is a test oracle only, MFCC included
     src = os.path.dirname(os.path.dirname(os.path.abspath(esf.cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, esf.server, esf.cli; print('scipy' in sys.modules)"],
+         "import sys, numpy, esf.server, esf.cli, esf.dsp;"
+         "esf.dsp.mfcc(esf.dsp.FeatureMatrix(numpy.ones((2, 40)), 'mel_energy'));"
+         "print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
 
@@ -233,6 +235,10 @@ def test_set_flag_overrides_any_field(dryrun_config, capsys):
     (["bench", "--consumers", "0"], "consumers"),
     (["bench", "--repeats", "0"], "repeats"),
     (["bench", "--seed", "1", "--set", "pipeline.batch_size=0"], "batch_size"),
+    (["bench", "--utterances", "0"], "bench.utterances"),
+    (["bench", "--set", "bench.num_shards=0"], "bench.num_shards"),
+    (["bench", "--set", "bench.duration_range=[0.3,0.1]"], "bench.duration_range"),
+    (["bench", "--set", "bench.servers=[1.5,2.9]"], "bench.servers"),
 ])
 def test_config_value_errors_are_usage_errors(argv, key, monkeypatch, capsys):
     # found before the bench corpus is written or any server starts

@@ -101,7 +101,7 @@ def test_merge_config_returns_a_copy():
 
 def test_server_config_coerces_json_values():
     doc = {
-        "pipeline": {"shard_paths": ["a.esrd", "b.esrd"], "batch_size": 8.7,
+        "pipeline": {"shard_paths": ["a.esrd", "b.esrd"], "batch_size": 8,
                      "pad_value": 1, "seed": 42, "vocab_path": "v.txt"},
         "vtlp": {"alpha_range": [1, 1], "window_ms": 40, "hop_ms": 10,
                  "dft_size": 512},
@@ -186,6 +186,19 @@ def test_set_keys_are_checked_like_file_keys():
     (cfgmod.bench_config, "bench", "servers", ["two"]),
     (cfgmod.bench_config, "bench", "step_cost", "fast"),
     (cfgmod.bench_config, "bench", "duration_range", 0.2),
+    # a number of the wrong kind is refused, not truncated
+    (cfgmod.pipeline_config, "pipeline", "batch_size", 8.7),
+    (cfgmod.pipeline_config, "pipeline", "batch_size", True),
+    (cfgmod.pipeline_config, "pipeline", "pad_value", True),
+    (cfgmod.pipeline_config, "pipeline", "seed", "3"),
+    (cfgmod.bench_config, "bench", "servers", [1.5, 2.9]),
+    (cfgmod.bench_config, "bench", "utterances", 0),
+    (cfgmod.bench_config, "bench", "num_shards", 0),
+    (cfgmod.bench_config, "bench", "sample_rate", 0),
+    (cfgmod.bench_config, "bench", "duration_range", [0.2, 0.1]),
+    (cfgmod.bench_config, "bench", "duration_range", [0.0, 0.1]),
+    (cfgmod.bench_config, "bench", "duration_range", [0.1, float("inf")]),
+    (cfgmod.pipeline_config, "pipeline", "shard_paths", "a.esrd"),
 ])
 def test_bad_value_is_a_configuration_error_naming_its_key(build, section, key, value):
     cfg = merge_config({section: {key: value}})

@@ -320,6 +320,17 @@ def test_mfcc_constant_energy_gives_only_c0():
     assert np.all(np.abs(out[:, 0]) > 0)
 
 
+@pytest.mark.parametrize("filters", [1, 2, 13, 23, 40, 80])
+def test_mfcc_is_scipys_orthonormal_dct(filters):
+    rng = np.random.default_rng(filters)
+    energies = rng.uniform(1e-6, 50.0, (6, filters))
+    out = dsp.mfcc(dsp.FeatureMatrix(energies, "mel_energy"), num_ceps=filters).values
+    want = scipy.fft.dct(np.log(energies), type=2, norm="ortho", axis=1)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    head = dsp.mfcc(dsp.FeatureMatrix(energies, "mel_energy"), num_ceps=1).values
+    np.testing.assert_allclose(head, want[:, :1], rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 def test_mfcc_full_dct_is_invertible():
     rng = np.random.default_rng(2)
     energies = rng.uniform(0.1, 5.0, (4, 16))

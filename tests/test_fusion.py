@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esf import fusion
 from esf.errors import ScorerContractError
@@ -461,6 +463,23 @@ def test_tie_at_the_beam_cut_goes_to_the_smaller_tokens():
     want = object_sort_search(am, lm, uniform_prior(3), w, 2, 3, eos_id=2)
     assert_same_hypothesis(got, want)
     assert got.tokens == (fusion.SOS_ID, 1, 2)
+
+
+# few distinct values, so ties are the rule; -0.0 ties with 0.0
+_cut_values = st.one_of(st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 2.0]),
+                        st.floats(-4.0, 4.0))
+
+
+@settings(deadline=None)
+@given(st.lists(_cut_values, min_size=1, max_size=48))
+@example([-np.inf])
+@example([-np.inf] * 7)
+@example([0.0, -0.0, 0.0, -np.inf, -0.0])
+def test_beam_cut_keeps_the_first_k_of_a_stable_argsort(values):
+    cand = np.array(values)
+    for k in range(1, cand.size + 3):
+        kept = fusion._beam_cut(cand, k)
+        assert kept.tolist() == np.sort(np.argsort(-cand, kind="stable")[:k]).tolist()
 
 
 class Fixed:
