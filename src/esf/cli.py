@@ -399,11 +399,11 @@ def _demo_scorers():
 
 
 def cmd_decode(args) -> int:
-    from .fusion import (FusionWeights, PriorModel, TableAcousticScorer,
-                         BigramLanguageScorer, beam_search, uniform_prior)
+    from .fusion import (PriorModel, TableAcousticScorer, BigramLanguageScorer,
+                         beam_search, uniform_prior)
 
-    fus = config_from_args(args)["fusion"]
-    max_len = fus["max_len"]
+    fus = cfgmod.fusion_config(config_from_args(args))
+    max_len = fus.max_len
 
     if args.demo:
         am, lm, eos_id = _demo_scorers()
@@ -422,15 +422,14 @@ def cmd_decode(args) -> int:
             prior = PriorModel(np.asarray(json.load(fh), dtype=np.float64))
     else:
         prior = uniform_prior(vocab_size)
-    weights = FusionWeights(lambda_prior=fus["lambda_prior"], lambda_lm=fus["lambda_lm"])
-    best = beam_search(am, lm, prior, weights, fus["beam_size"], max_len, eos_id)
+    best = beam_search(am, lm, prior, fus.weights, fus.beam_size, max_len, eos_id)
     print(json.dumps({
         "tokens": list(best.tokens[1:]),
         "score": best.score,
         "finished": best.finished,
-        "beam_size": fus["beam_size"],
-        "lambda_p": fus["lambda_prior"],
-        "lambda_lm": fus["lambda_lm"],
+        "beam_size": fus.beam_size,
+        "lambda_p": fus.lambda_prior,
+        "lambda_lm": fus.lambda_lm,
     }))
     return EXIT_OK
 

@@ -3,9 +3,9 @@
 Sections mirror the modules; unknown sections or keys are rejected with a
 path-qualified error so typos cannot silently fall back to defaults. Every
 value can also be overridden by a CLI flag. The ESF_CONFIG environment
-variable names the default config file. Every section but fusion is one of
-the SECTIONS, whose keys, defaults and types are the fields of its dataclass;
-a range such as vtlp.alpha_range is a JSON list.
+variable names the default config file. Every section is one of the
+SECTIONS, whose keys, defaults and types are the fields of its dataclass; a
+range such as vtlp.alpha_range is a JSON list.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import copy
 import dataclasses
 import json
 import os
+from typing import TYPE_CHECKING
 
 from .acoustic import SimulatorConfig
 from .errors import ConfigurationError
@@ -22,11 +23,43 @@ from .server import ServerConfig
 from .trainsim import BenchConfig
 from .vtlp import WarpSpec
 
+if TYPE_CHECKING:
+    from .fusion import FusionWeights
+
 ENV_VAR = "ESF_CONFIG"
+
+
+@dataclasses.dataclass
+class FusionConfig:
+    """The fusion config section: the decode weights and the beam's shape.
+
+    It lives here, not in esf.fusion, so that a server, which never
+    decodes, does not import the decoder.
+    """
+
+    lambda_prior: float = 0.0
+    lambda_lm: float = 0.0
+    beam_size: int = 12
+    max_len: int = 32
+    weights: FusionWeights = dataclasses.field(init=False, repr=False)  # built
+
+    def __post_init__(self):
+        """Refuse a value no search can run, naming its fusion.* key."""
+        from .fusion import FusionWeights
+
+        for name in ("beam_size", "max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"fusion.{name} must be >= 1, got {getattr(self, name)}")
+        try:
+            self.weights = FusionWeights(self.lambda_prior, self.lambda_lm)
+        except ValueError as exc:
+            raise ConfigurationError(f"fusion.{exc}") from exc
+
 
 SECTIONS = {"pipeline": PipelineConfig, "vtlp": WarpSpec,
             "acoustic": SimulatorConfig, "server": ServerConfig,
-            "bench": BenchConfig}
+            "bench": BenchConfig, "fusion": FusionConfig}
 # Optional stages, which add an on/off switch to their fields.
 ENABLED = ("vtlp", "acoustic")
 # ServerConfig fields that are built from the other sections.
@@ -40,25 +73,18 @@ BENCH_BASE = {
 
 
 def _keys(section: str):
-    """(key, default) pairs of a section: its switch, then its dataclass fields."""
+    """(key, default) pairs of a section: its switch, then the fields its
+    dataclass takes, other than the nested sections."""
     if section in ENABLED:
         yield "enabled", True
     for f in dataclasses.fields(SECTIONS[section]):
         default = [] if f.default is dataclasses.MISSING else f.default  # shard_paths
-        if f.name not in NESTED:
+        if f.init and f.name not in NESTED:
             yield f.name, default
 
 
-DEFAULTS: dict = {
-    **{section: json.loads(json.dumps(dict(_keys(section))))  # tuples as lists
-       for section in SECTIONS},
-    "fusion": {
-        "lambda_prior": 0.0,
-        "lambda_lm": 0.0,
-        "beam_size": 12,
-        "max_len": 32,
-    },
-}
+DEFAULTS: dict = {section: json.loads(json.dumps(dict(_keys(section))))  # tuples as lists
+                  for section in SECTIONS}
 
 
 def merge_config(*docs: dict | None) -> dict:
@@ -112,17 +138,20 @@ def load_config(path: str | None, overrides: list[str] | None = None,
 
 
 def _convert(default, value):
-    """value as the type of default: numbers checked, tuples per element.
+    """value as the type of default: numbers and strings checked, tuples per
+    element.
 
     A float key takes any JSON number; an int key takes an integer, or a
     float only if it is integral. A bool or a string is never a number, and
-    nothing is truncated. A list key takes a list, not a string's characters.
+    nothing is truncated. A string key takes a string, and a key that
+    defaults to None (a path) a string or null. A list key (shard_paths)
+    takes a list of strings, not a string's characters.
     """
     if isinstance(default, tuple):
         return tuple(_convert(default[0], v) for v in value)
     if isinstance(default, list):
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            raise TypeError(f"expected a list of strings, got {value!r}")
         return list(value)
     if isinstance(default, (int, float)):
         if type(value) not in (int, float):  # not True, not "8"
@@ -130,6 +159,10 @@ def _convert(default, value):
         if isinstance(default, int) and type(value) is float and not value.is_integer():
             raise ValueError(f"expected an integer, got {value!r}")
         return type(default)(value)
+    if isinstance(default, str) and not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    if default is None and not (value is None or isinstance(value, str)):
+        raise TypeError(f"expected a string or null, got {value!r}")
     return value
 
 
@@ -175,3 +208,7 @@ def server_config(cfg: dict) -> ServerConfig:
 
 def bench_config(cfg: dict) -> BenchConfig:
     return _build(cfg, "bench")
+
+
+def fusion_config(cfg: dict) -> FusionConfig:
+    return _build(cfg, "fusion")

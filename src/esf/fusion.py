@@ -36,10 +36,10 @@ class FusionWeights:
     lambda_lm: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda_prior) and math.isfinite(self.lambda_lm)):
-            raise ValueError("fusion weights must be finite")
-        if self.lambda_prior < 0 or self.lambda_lm < 0:
-            raise ValueError("fusion weights must be non-negative")
+        for name in ("lambda_prior", "lambda_lm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,29 @@ def _beam_cut(cand: np.ndarray, k: int) -> np.ndarray:
     return kept
 
 
+def _step_ceiling(prior: PriorModel, weights: FusionWeights) -> float:
+    """F >= 0: no entry of fused_step on contract-passing rows exceeds it.
+
+    A row that passes the contract has no entry above 2 * NORMALIZATION_TOL,
+    since its logsumexp is at least its largest entry. F is fused_step's
+    float64 expression at am = lm = that bound and at the smallest entry of
+    the scaled prior, taken as given (it may be shifted); rounding is
+    monotone, so every fused entry is at most F in floating point too.
+    """
+    top = 2 * NORMALIZATION_TOL
+    ceiling = top - float((weights.lambda_prior * prior.log_probs).min())
+    if weights.lambda_lm:
+        ceiling += weights.lambda_lm * top
+    return max(ceiling, 0.0)
+
+
+def _reach(score: float, steps: int, ceiling: float) -> float:
+    """Upper bound on any score reached from score in at most steps steps of
+    at most ceiling >= 0 each, every addition rounded; see beam_search."""
+    grow = steps * ceiling
+    return score + grow + (steps + 2) * 2.0 ** -52 * (abs(score) + grow)
+
+
 def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
                 weights: FusionWeights, beam_size: int, max_len: int,
                 eos_id: int, context=None) -> Hypothesis:
@@ -225,17 +248,38 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     and _beam_cut keeps the right set, in token order, with one partition
     and no tuple comparisons. One pass over the kept indices then splits
     them into finished and live ones.
+
+    The search stops before a step once no live hypothesis can beat the
+    best finished one (the optimal stopping rule of Huang, Zhao and Ma,
+    "When to Finish?", EMNLP 2017). No fused entry exceeds F =
+    _step_ceiling(prior, weights) >= 0, so with b the best live score and R
+    steps left, every later score is at most x_R, where x_0 = b and x_k =
+    fl(x_{k-1} + F): by induction, as rounding is monotone, and x_k grows
+    with k, so a hypothesis finished after fewer steps is below it too. With
+    A = |b| + R*F and u = 2^-53, each rounding adds at most u * (A + error
+    so far), so x_R <= b + R*F + ((1 + u)^R - 1) * A. _reach adds the margin
+    (R + 2) * 2^-52 * A; for R < 2^52 that covers this error and the five
+    roundings of its own float64 evaluation. (For F = 0, x_R = b and the
+    margin only needs to be >= 0; for F > 0, F >= 2^-72, so nothing
+    underflows; an all -inf beam gives a NaN bound, which never stops.) The
+    search returns when the best finished score is strictly above _reach:
+    no later hypothesis can reach or tie it, so the result is bit for bit
+    the one the full search returns whenever that returns. The rows of the
+    steps not taken are neither requested nor checked, so a scorer that
+    would break the contract there goes unseen.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     vocab_size = len(prior)
+    ceiling = _step_ceiling(prior, weights)
     live = [(SOS_ID,)]  # token sequences, in token order
     scores = np.zeros(1)
     finished: list[Hypothesis] = []
-    for _ in range(max_len):
-        if not live:
+    top = -math.inf  # the best finished score
+    for left in range(max_len, 0, -1):
+        if not live or finished and top > _reach(float(scores.max()), left, ceiling):
             break
         rows = _scored_rows(am, lm, live, context, vocab_size)
         cand = fused_step(rows[:len(live)], rows[len(live):], prior, weights)
@@ -249,6 +293,7 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
             h, v = divmod(i, vocab_size)
             if v == eos_id:
                 finished.append(Hypothesis(live[h] + (v,), float(cand[i]), True))
+                top = max(top, finished[-1].score)
             else:
                 grown.append(live[h] + (v,))
                 kept_live.append(i)
@@ -267,7 +312,8 @@ def exhaustive_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     """Enumerate every token sequence up to max_len and return the argmax.
 
     The oracle twin of beam_search: same scoring, same eos freezing, same
-    finished-first selection and tie-break.
+    finished-first selection and tie-break. It has no beam and no early
+    stop: every prefix up to max_len is scored, and every row is checked.
     """
     vocab_size = len(prior)
     if vocab_size ** max_len > 10 ** 6:

@@ -474,6 +474,27 @@ def test_decode_flags_beat_the_config(extra, expected, layered_config, monkeypat
     assert (doc["lambda_p"], doc["lambda_lm"], doc["beam_size"]) == expected
 
 
+@pytest.mark.parametrize("fusion, flags, key", [
+    ({"max_len": 2.5}, [], "fusion.max_len"),
+    ({"beam_size": "3"}, [], "fusion.beam_size"),
+    ({"beam_size": True}, [], "fusion.beam_size"),
+    ({"lambda_lm": "x"}, [], "fusion.lambda_lm"),
+    ({"lambda_prior": -1}, [], "fusion.lambda_prior"),
+    ({}, ["--beam", "0"], "fusion.beam_size"),
+    ({}, ["--max-len", "0"], "fusion.max_len"),
+    ({}, ["--lambda-lm", "inf"], "fusion.lambda_lm"),
+])
+def test_bad_fusion_values_are_usage_errors(fusion, flags, key, tmp_path, monkeypatch,
+                                            capsys):
+    path = tmp_path / "fusion.json"
+    path.write_text(json.dumps({"fusion": fusion}))
+    monkeypatch.setenv("ESF_CONFIG", str(path))
+    assert main(["decode", "--demo", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert "Traceback" not in err
+
+
 def test_config_unknown_section_rejected():
     with pytest.raises(ConfigurationError, match="mystery"):
         merge_config({"mystery": {}})

@@ -7,8 +7,9 @@ import pytest
 
 from esf import config as cfgmod
 from esf.acoustic import SimulatorConfig
-from esf.config import merge_config
+from esf.config import FusionConfig, merge_config
 from esf.errors import ConfigurationError
+from esf.fusion import FusionWeights
 from esf.pipeline import PipelineConfig
 from esf.server import ServerConfig
 from esf.trainsim import BenchConfig
@@ -146,6 +147,7 @@ def test_disabled_stages_build_none():
     ("acoustic", SimulatorConfig, ["enabled"], []),
     ("server", ServerConfig, [], ["pipeline", "warp_spec", "sim_config"]),
     ("bench", BenchConfig, [], []),
+    ("fusion", FusionConfig, [], ["weights"]),  # weights is built, not a key
 ])
 def test_section_keys_are_the_dataclass_fields(section, cls, extra, nested):
     expected = list(extra)
@@ -199,11 +201,35 @@ def test_set_keys_are_checked_like_file_keys():
     (cfgmod.bench_config, "bench", "duration_range", [0.0, 0.1]),
     (cfgmod.bench_config, "bench", "duration_range", [0.1, float("inf")]),
     (cfgmod.pipeline_config, "pipeline", "shard_paths", "a.esrd"),
+    # a string key takes a string, a path key a string or null, a list of
+    # paths only strings
+    (cfgmod.server_config, "server", "host", 5),
+    (cfgmod.pipeline_config, "pipeline", "vocab_path", 7),
+    (cfgmod.pipeline_config, "pipeline", "shard_paths", [1, 2]),
+    (cfgmod.simulator_config, "acoustic", "noise_source", 3),
+    (cfgmod.pipeline_config, "pipeline", "map_error_policy", None),
+    (cfgmod.fusion_config, "fusion", "max_len", 2.5),
+    (cfgmod.fusion_config, "fusion", "beam_size", "3"),
+    (cfgmod.fusion_config, "fusion", "beam_size", True),
+    (cfgmod.fusion_config, "fusion", "beam_size", 0),
+    (cfgmod.fusion_config, "fusion", "max_len", 0),
+    (cfgmod.fusion_config, "fusion", "lambda_lm", "x"),
+    (cfgmod.fusion_config, "fusion", "lambda_prior", -0.5),
 ])
 def test_bad_value_is_a_configuration_error_naming_its_key(build, section, key, value):
     cfg = merge_config({section: {key: value}})
     with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
         build(cfg)
+
+
+def test_fusion_config_builds_the_weights():
+    fus = cfgmod.fusion_config(merge_config(
+        {"fusion": {"lambda_prior": 1, "lambda_lm": 0.45, "beam_size": 3.0}}))
+    assert (fus.beam_size, fus.max_len) == (3, 32)
+    assert fus.weights == FusionWeights(1.0, 0.45)
+    assert type(fus.beam_size) is int and type(fus.lambda_prior) is float
+    cfg = merge_config({"pipeline": {"vocab_path": None, "shard_paths": ["a", "b"]}})
+    assert cfgmod.pipeline_config(cfg).vocab_path is None
 
 
 def test_server_config_range_errors_are_configuration_errors():
