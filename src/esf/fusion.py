@@ -199,34 +199,11 @@ def _beam_cut(cand: np.ndarray, k: int) -> np.ndarray:
     if n <= k:
         return np.arange(n)
     kth = np.partition(cand, n - k)[n - k]
-    kept = np.flatnonzero(cand >= kth)
+    kept = (cand >= kth).nonzero()[0]  # np.flatnonzero, without its wrapper
     if kept.size > k:  # too many ties at the threshold: drop the last ones
         ties = np.flatnonzero(cand[kept] == kth)
         kept = np.delete(kept, ties[k - kept.size:])
     return kept
-
-
-def _step_ceiling(prior: PriorModel, weights: FusionWeights) -> float:
-    """F >= 0: no entry of fused_step on contract-passing rows exceeds it.
-
-    A row that passes the contract has no entry above 2 * NORMALIZATION_TOL,
-    since its logsumexp is at least its largest entry. F is fused_step's
-    float64 expression at am = lm = that bound and at the smallest entry of
-    the scaled prior, taken as given (it may be shifted); rounding is
-    monotone, so every fused entry is at most F in floating point too.
-    """
-    top = 2 * NORMALIZATION_TOL
-    ceiling = top - float((weights.lambda_prior * prior.log_probs).min())
-    if weights.lambda_lm:
-        ceiling += weights.lambda_lm * top
-    return max(ceiling, 0.0)
-
-
-def _reach(score: float, steps: int, ceiling: float) -> float:
-    """Upper bound on any score reached from score in at most steps steps of
-    at most ceiling >= 0 each, every addition rounded; see beam_search."""
-    grow = steps * ceiling
-    return score + grow + (steps + 2) * 2.0 ** -52 * (abs(score) + grow)
 
 
 def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
@@ -234,10 +211,9 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
                 eos_id: int, context=None) -> Hypothesis:
     """Beam search over fused step scores.
 
-    Hypotheses that emit eos are frozen (no further terms accrue) and
-    collected; the best finished hypothesis wins, falling back to the best
-    live hypothesis at max_len. Ties break toward the lexicographically
-    smaller token sequence.
+    Hypotheses that emit eos are frozen (no further terms accrue); the best
+    finished hypothesis wins, falling back to the best live hypothesis at
+    max_len. Ties break toward the lexicographically smaller token sequence.
 
     Each step is array work over the H live hypotheses: one scorer call per
     hypothesis and scorer, one contract check over the (2H, V) rows, one
@@ -247,39 +223,20 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     order, so a candidate's flat index h * V + v is its rank in token order,
     and _beam_cut keeps the right set, in token order, with one partition
     and no tuple comparisons. One pass over the kept indices then splits
-    them into finished and live ones.
-
-    The search stops before a step once no live hypothesis can beat the
-    best finished one (the optimal stopping rule of Huang, Zhao and Ma,
-    "When to Finish?", EMNLP 2017). No fused entry exceeds F =
-    _step_ceiling(prior, weights) >= 0, so with b the best live score and R
-    steps left, every later score is at most x_R, where x_0 = b and x_k =
-    fl(x_{k-1} + F): by induction, as rounding is monotone, and x_k grows
-    with k, so a hypothesis finished after fewer steps is below it too. With
-    A = |b| + R*F and u = 2^-53, each rounding adds at most u * (A + error
-    so far), so x_R <= b + R*F + ((1 + u)^R - 1) * A. _reach adds the margin
-    (R + 2) * 2^-52 * A; for R < 2^52 that covers this error and the five
-    roundings of its own float64 evaluation. (For F = 0, x_R = b and the
-    margin only needs to be >= 0; for F > 0, F >= 2^-72, so nothing
-    underflows; an all -inf beam gives a NaN bound, which never stops.) The
-    search returns when the best finished score is strictly above _reach:
-    no later hypothesis can reach or tie it, so the result is bit for bit
-    the one the full search returns whenever that returns. The rows of the
-    steps not taken are neither requested nor checked, so a scorer that
-    would break the contract there goes unseen.
+    them into finished and live ones; of the finished ones only the best so
+    far is kept, as a (score, tokens) pair, and one Hypothesis is built for
+    it at the end.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     vocab_size = len(prior)
-    ceiling = _step_ceiling(prior, weights)
     live = [(SOS_ID,)]  # token sequences, in token order
     scores = np.zeros(1)
-    finished: list[Hypothesis] = []
-    top = -math.inf  # the best finished score
-    for left in range(max_len, 0, -1):
-        if not live or finished and top > _reach(float(scores.max()), left, ceiling):
+    best = None  # (score, tokens) of the best finished hypothesis so far
+    for _ in range(max_len):
+        if not live:
             break
         rows = _scored_rows(am, lm, live, context, vocab_size)
         cand = fused_step(rows[:len(live)], rows[len(live):], prior, weights)
@@ -292,15 +249,17 @@ def beam_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
         for i in kept.tolist():
             h, v = divmod(i, vocab_size)
             if v == eos_id:
-                finished.append(Hypothesis(live[h] + (v,), float(cand[i]), True))
-                top = max(top, finished[-1].score)
+                score, tokens = float(cand[i]), live[h] + (v,)
+                if best is None or score > best[0] or score == best[0] and tokens < best[1]:
+                    best = score, tokens
             else:
                 grown.append(live[h] + (v,))
                 kept_live.append(i)
+        # with no eos kept, index by the array: cheaper than by the list
+        scores = cand[kept] if len(grown) == kept.size else cand[kept_live]
         live = grown
-        scores = cand[kept_live]
-    if finished:
-        return _best(finished)
+    if best is not None:
+        return Hypothesis(best[1], best[0], True)
     # live is in token order, so the first best score has the smallest tokens
     h = int(np.argmax(scores))
     return Hypothesis(live[h], float(scores[h]), False)
@@ -312,8 +271,8 @@ def exhaustive_search(am: StepScorer, lm: StepScorer, prior: PriorModel,
     """Enumerate every token sequence up to max_len and return the argmax.
 
     The oracle twin of beam_search: same scoring, same eos freezing, same
-    finished-first selection and tie-break. It has no beam and no early
-    stop: every prefix up to max_len is scored, and every row is checked.
+    finished-first selection and tie-break. It has no beam: every prefix
+    up to max_len is scored, and every row is checked.
     """
     vocab_size = len(prior)
     if vocab_size ** max_len > 10 ** 6:

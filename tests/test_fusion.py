@@ -438,14 +438,11 @@ def test_beam_search_edge_shapes_match_object_sort_oracle():
 
 
 def test_tie_at_the_beam_cut_goes_to_the_smaller_tokens():
-    # AM scores: step 1 keeps (1) at -log 2 above (0) at -2 log 2, so the
-    # live hypothesis with the higher score has the larger tokens. Step 2
-    # puts (1, 2) first and ties (1, 0), (1, 1) and (0, 0) at -3 log 2 for
-    # the one slot left; (0, 0) must win. A stable argsort over the live
-    # hypotheses in score order would keep (1, 0). The uniform prior's term
-    # adds the same constant to every step, so the tie stays exact, and it
-    # lets scores grow: a live (0, 0) could still beat the finished (1, 2),
-    # so the search runs step 3, where the scorer sees only (0, 0).
+    # Step 1 keeps (1) at -log 2 above (0) at -2 log 2: the live hypothesis
+    # with the higher score has the larger tokens. Step 2 puts (1, 2) first
+    # and ties (1, 0), (1, 1) and (0, 0) at -3 log 2 for the one slot left;
+    # (0, 0) must win. A stable argsort over the live hypotheses in score
+    # order would keep (1, 0).
     half, quarter = math.log(0.5), math.log(0.25)
     am = TableAcousticScorer(3, {"": [quarter, half, quarter],
                                  "1": [quarter, quarter, half],
@@ -459,135 +456,13 @@ def test_tie_at_the_beam_cut_goes_to_the_smaller_tokens():
 
     assert half + quarter == quarter + half  # the three-way tie is exact
     lm = BigramLanguageScorer([-math.log(3)] * 3, [[-math.log(3)] * 3] * 3)
-    w = FusionWeights(0.7, 0.0)
+    w = FusionWeights(0.0, 0.0)
     got = beam_search(Recording(), lm, uniform_prior(3), w, 2, 3, eos_id=2)
     step3 = [p for p in seen if len(p) == 3]
     assert step3 == [(fusion.SOS_ID, 0, 0)]
     want = object_sort_search(am, lm, uniform_prior(3), w, 2, 3, eos_id=2)
     assert_same_hypothesis(got, want)
     assert got.tokens == (fusion.SOS_ID, 1, 2)
-
-
-class EosEarly:
-    """SeededScorer's rows with eos made likely, so hypotheses finish early.
-
-    Random rows get +3 on the eos logit before normalizing; tied rows keep
-    their 2^k equal entries but always put eos among them.
-    """
-
-    def __init__(self, seed, vocab, eos, tied):
-        self.inner, self.eos, self.tied = SeededScorer(seed, vocab, tied=tied), eos, tied
-
-    def log_probs(self, prefix, context):
-        row = np.array(self.inner.log_probs(prefix, context))
-        on = np.isfinite(row)
-        if self.tied:
-            if not on[self.eos]:  # swap eos in for the first allowed token
-                row[np.flatnonzero(on)[0]], row[self.eos] = -np.inf, row[on][0]
-            return row
-        row[self.eos] += 3.0
-        return row - np.log(np.sum(np.exp(row)))
-
-
-def shifted_uniform_prior(vocab):
-    """A uniform prior shifted by +3, as in criterion 9: not normalized."""
-    prior = uniform_prior(vocab)
-    prior.log_probs = prior.log_probs + 3.0
-    return prior
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), vocab=st.integers(2, 6), max_len=st.integers(1, 9),
-       beam=st.integers(1, 14), tied=st.booleans(),
-       prior_kind=st.sampled_from(["random", "uniform", "shifted"]),
-       lambda_prior=st.sampled_from([0.0, 0.005, 0.3, 1.0]),
-       lambda_lm=st.sampled_from([0.0, 0.45, 1.5]))
-@example(seed=1, vocab=3, max_len=8, beam=2, tied=True, prior_kind="uniform",
-         lambda_prior=0.0, lambda_lm=0.0)
-@example(seed=2, vocab=4, max_len=9, beam=3, tied=False, prior_kind="shifted",
-         lambda_prior=1.0, lambda_lm=0.0)
-def test_early_stop_matches_the_full_object_sort_search(seed, vocab, max_len, beam, tied,
-                                                       prior_kind, lambda_prior, lambda_lm):
-    # -inf entries (random rows), exact ties (tied rows), no LM term, and a
-    # prior whose scaled term is positive, all with eos finishing early
-    eos = seed % vocab
-    am = EosEarly(2 * seed, vocab, eos, tied)
-    lm = SeededScorer(2 * seed + 1, vocab, tied=tied)
-    prior = {"random": lambda: PriorModel(normalized_rows(np.random.default_rng(seed), vocab)),
-             "uniform": lambda: uniform_prior(vocab),
-             "shifted": lambda: shifted_uniform_prior(vocab)}[prior_kind]()
-    w = FusionWeights(lambda_prior, lambda_lm)
-    want = object_sort_search(am, lm, prior, w, beam, max_len, eos)
-    assert_same_hypothesis(beam_search(am, lm, prior, w, beam, max_len, eos), want)
-
-
-def test_a_dominated_search_requests_fewer_rows():
-    # eos takes 0.99 of step 1; every live hypothesis starts at most at
-    # log 0.005 and no step adds more than about 3e-6, so step 2 is never run
-    am = TableAcousticScorer(3, {"": np.log([0.005, 0.005, 0.99])},
-                             default=np.zeros(3))  # would break the contract
-    seen = []
-
-    class Recording:
-        def log_probs(self, prefix, context):
-            seen.append(prefix)
-            return am.log_probs(prefix, context)
-
-    lm = BigramLanguageScorer([-math.log(3)] * 3, [[-math.log(3)] * 3] * 3)
-    w = FusionWeights(0.0, 0.45)
-    got = beam_search(Recording(), lm, uniform_prior(3), w, 2, 10, eos_id=2)
-    assert seen == [(fusion.SOS_ID,)]  # max_len steps would request 1 + 2 * 9
-    assert got.tokens == (fusion.SOS_ID, 2) and got.finished
-    assert got.score == float(fused_step(am.table[""], lm.initial, uniform_prior(3), w)[2])
-    with pytest.raises(ScorerContractError):
-        beam_search(am, lm, uniform_prior(3), w, 2, 2, eos_id=3)  # no eos: step 2 runs
-
-
-def test_no_stop_while_a_live_hypothesis_can_still_tie_the_best_finished():
-    # The uniform prior's term adds log 3 to every token, and an entry of
-    # 5e-7 keeps a row normalized within 1e-6: each step after the first adds
-    # g, the most that AM and LM rows at that entry can give at these weights.
-    # Step 1 finishes (2) at top and keeps (0) at b; (0, 1, 2) then reaches
-    # b + g + g == top exactly, and the tie goes to its smaller tokens, so the
-    # search must run both steps that are left.
-    eps, vocab = 5e-7, 3
-    w = FusionWeights(1.0, 10.0)
-    prior = uniform_prior(vocab)
-    g = float(fused_step(np.full(vocab, eps), np.full(vocab, eps), prior, w)[0])
-    half = math.log(0.5)
-    a0 = -math.log1p(9.0 * math.exp(22 * eps))  # a0 and a2 normalize the row
-    b = float(fused_step(np.full(vocab, a0), np.full(vocab, half), prior, w)[0])
-    top = (b + g) + g
-    a2 = a0 + 2 * math.log(3) + 22 * eps
-    for _ in range(64):  # the a2 whose step-1 score is exactly top
-        got = float(fused_step(np.full(vocab, a2), np.full(vocab, half), prior, w)[0])
-        if got == top:
-            break
-        a2 = np.nextafter(a2, -np.inf if got > top else np.inf)
-    assert got == top
-    off = -np.inf
-    am = TableAcousticScorer(vocab, {"": [a0, off, a2], "0": [off, eps, off],
-                                     "0 1": [off, off, eps]})
-    lm = BigramLanguageScorer([half, off, half],
-                              [[off, eps, off], [off, off, eps], [-math.log(3)] * 3])
-    got = beam_search(am, lm, prior, w, 2, 3, eos_id=2)
-    assert_same_hypothesis(got, object_sort_search(am, lm, prior, w, 2, 3, eos_id=2))
-    assert got.tokens == (fusion.SOS_ID, 0, 1, 2) and got.score == top
-
-
-def test_no_stop_while_a_live_hypothesis_one_step_from_eos_can_win():
-    # The shifted prior's term takes 3 - log 3 from every step, so no later
-    # step can raise a score; the live (0) is still far enough above the
-    # finished (2) that finishing next step beats it, however many steps
-    # remain.
-    prior = shifted_uniform_prior(3)
-    w = FusionWeights(1.0, 0.0)
-    am = TableAcousticScorer(3, {"": [math.log(0.95), -np.inf, math.log(0.05)],
-                                 "0": [-np.inf, -np.inf, 0.0]})
-    lm = Fixed([-math.log(3)] * 3)
-    got = beam_search(am, lm, prior, w, 2, 10, eos_id=2)
-    assert_same_hypothesis(got, object_sort_search(am, lm, prior, w, 2, 10, eos_id=2))
-    assert got.tokens == (fusion.SOS_ID, 0, 2)
 
 
 # few distinct values, so ties are the rule; -0.0 ties with 0.0
