@@ -244,7 +244,13 @@ class ExampleServer:
                 self._listener.shutdown(socket.SHUT_RDWR)
 
     def run(self) -> None:
-        """Accept consumers until every pipeline slot has completed its epochs."""
+        """Accept consumers until every pipeline slot has completed its epochs.
+
+        A consumer that holds a slot without granting credit keeps run()
+        open, with no time limit, on purpose: a paused trainer is legal. Its
+        slot goes on once the consumer grants credit, and finishes once the
+        consumer closes its connection.
+        """
         if self._listener is None:
             self.start()
         try:

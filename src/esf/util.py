@@ -3,8 +3,13 @@ a round-robin merge of iterables.
 
 CRC32C runs in one C kernel, crc32c.c (slicing-by-8, no intrinsics), which
 this module compiles with Python's C compiler on first import and caches in
-__pycache__. On one core of a 2-vCPU x86 box it checks about 1.7 GB/s
-(0.6 ms/MB), and a call on a few bytes costs about 1 µs.
+__pycache__. The kernel runs four independent streams over each group of
+four adjacent 4 KiB blocks and folds them into one CRC with a table that
+shifts a register across a block of zero bytes; inputs under one group run
+one stream. On one core of a 2-vCPU Intel Xeon box (Python 3.11.7, numpy
+2.4.6) it checks 2.3–4.5 GB/s (0.40–0.22 ms/MB), as the shared box's load
+swings, against 1.7 GB/s (0.57 ms/MB) for one stream; a call on a few bytes
+costs about 1.5 µs.
 """
 
 from __future__ import annotations

@@ -157,7 +157,9 @@ def _array32(value: bytes, dtype: str, field: str) -> np.ndarray:
 def decode_batch(payload: bytes) -> tuple[int | None, Batch]:
     """Parse a batch payload; returns (ordinal or None, batch).
 
-    Any malformed payload raises FormatError.
+    Any malformed payload raises FormatError, label rows other than the
+    batch size and a feature length outside [0, T] or a label length
+    outside [0, L] among them.
     """
     ordinal = None
     fdims = ldims = None
@@ -189,8 +191,13 @@ def decode_batch(payload: bytes) -> tuple[int | None, Batch]:
         raise FormatError("feature tensor size does not match its dims")
     if labels.size != ldims[0] * ldims[1]:
         raise FormatError("label tensor size does not match its dims")
-    if len(utt_ids) != b or flens.size != b or llens.size != b:
+    if len(utt_ids) != b or flens.size != b or llens.size != b or ldims[0] != b:
         raise FormatError("per-example field counts do not match batch size")
+    # Python ints: numpy's per-call overhead outweighs a batch's few lengths
+    if not all(0 <= n <= t for n in flens.tolist()):
+        raise FormatError(f"a feature length lies outside [0, {t}]")
+    if not all(0 <= n <= ldims[1] for n in llens.tolist()):
+        raise FormatError(f"a label length lies outside [0, {ldims[1]}]")
     batch = Batch(
         features.reshape(b, t, f).astype(np.float32),
         flens.astype(np.int32),

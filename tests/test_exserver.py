@@ -444,6 +444,26 @@ def test_paused_trainer_keeps_a_healthy_stream(corpus):
     assert not thread.is_alive()
 
 
+def test_slot_held_without_credit_keeps_run_open_until_the_consumer_goes_on(corpus):
+    # no idle limit: a consumer that grants nothing may be a paused trainer
+    server, endpoint, thread = make_server(corpus)
+    sock, reader = raw_hello(endpoint, max_credits=1)
+    with sock:
+        assert reader.read_frame()[0] == MsgType.HELLO
+        thread.join(timeout=1.5)
+        assert thread.is_alive()
+        batches = 0
+        while True:
+            sock.sendall(encode_frame(MsgType.CREDIT, struct.pack("<I", 1)))
+            msg_type, _ = reader.read_frame()
+            if msg_type == MsgType.END:
+                break
+            batches += 1
+        assert batches == 5
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 @pytest.mark.parametrize("frame", [
     encode_frame(9, b""),
     encode_frame(MsgType.STATS, b"not json"),

@@ -1,5 +1,7 @@
 """Shard storage: round trips, framing, and corruption detection."""
 
+import io
+import re
 import resource
 import struct
 import sys
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esf import recordio, util
+from esf import recordio, util, wire
 from esf.errors import CorruptionError, FormatError, TruncationError
 from esf.util import crc32c
 
@@ -48,6 +50,21 @@ _crc_lengths = st.one_of(
     st.sampled_from([0, 1, 2, 3, 4, 5, 255, 256, 257, 511, 512, 513]),
     st.integers(0, 2100))
 _crc_data = _crc_lengths.flatmap(lambda n: st.binary(min_size=n, max_size=n))
+
+
+def _kernel_constant(name: str) -> int:
+    (value,) = re.findall(rf"^#define {name} (\d+)", util._SOURCE.read_text(), re.MULTILINE)
+    return int(value)
+
+
+# the kernel runs STREAMS streams over groups of STREAMS adjacent blocks
+_STREAMS = _kernel_constant("STREAMS")
+_BLOCK = _kernel_constant("BLOCK")
+_GROUP = _STREAMS * _BLOCK
+# lengths on both sides of one and two whole groups, and up to three groups
+_crc_large_lengths = st.one_of(
+    st.sampled_from([k * _GROUP + d for k in (1, 2) for d in (-9, -8, -1, 0, 1, 7, 8)]),
+    st.integers(_GROUP - 64, 3 * _GROUP + 64))
 
 
 @settings(deadline=None)
@@ -122,6 +139,69 @@ def test_crc32c_large_sizes_with_initial_values_match_table_reference():
         assert crc32c(data, value) == crc32c_table(data, value), n
 
 
+def test_crc32c_at_the_edges_of_whole_groups_matches_bitwise_reference():
+    rng = np.random.default_rng(13)
+    data = rng.integers(0, 256, 2 * _GROUP + 8, dtype=np.uint8).tobytes()
+    value = int(rng.integers(1, 2**32))
+    for k in (1, 2):
+        for d in (-9, -8, -1, 0, 1, 7, 8):
+            n = k * _GROUP + d
+            assert crc32c(data[:n], value) == crc32c_bitwise(data[:n], value), n
+
+
+def test_crc32c_of_groups_at_every_misaligned_start_matches_bitwise_reference():
+    rng = np.random.default_rng(14)
+    buf = bytearray(rng.integers(0, 256, _GROUP + 24, dtype=np.uint8).tobytes())
+    for start in range(1, 8):
+        data = memoryview(buf)[start:start + _GROUP + 9]
+        value = int(rng.integers(1, 2**32))
+        assert crc32c(data, value) == crc32c_bitwise(bytes(data), value), start
+
+
+def test_crc32c_continues_across_a_split_inside_a_group():
+    data = np.random.default_rng(15).integers(0, 256, 2 * _GROUP + 5, dtype=np.uint8).tobytes()
+    whole = crc32c(data)
+    assert whole == crc32c_table(data)
+    for split in (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 3, _GROUP - 8, _GROUP - 1,
+                  _GROUP + 1, _GROUP + _BLOCK + 5, 2 * _GROUP - 3):
+        assert crc32c(data[split:], crc32c(data[:split])) == whole, split
+
+
+@settings(deadline=None, max_examples=30)
+@given(_crc_large_lengths, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_crc32c_property_large_lengths_match_bitwise_reference(n, seed, value):
+    # generated from a seed: hypothesis draws at most a few KiB of bytes
+    data = np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
+    assert crc32c(data, value) == crc32c_bitwise(data, value)
+
+
+def test_a_bit_flip_in_any_block_of_a_group_or_in_the_tail_is_detected(tmp_path):
+    # one flip in each of the streams of a group, then one past the group
+    rng = np.random.default_rng(16)
+    rec = recordio.UtteranceRecord(
+        "group", 16000, rng.integers(-32768, 32767, (_GROUP + _BLOCK) // 2, dtype=np.int16))
+    payload = recordio.encode_record(rec)
+    assert _GROUP < len(payload) < 2 * _GROUP
+    flips = [s * _BLOCK + int(rng.integers(0, _BLOCK)) for s in range(_STREAMS)]
+    flips.append(int(rng.integers(_GROUP, len(payload))))
+    frame = wire.encode_frame(wire.MsgType.BATCH, payload)
+    path = recordio.write_shards([rec], 1, str(tmp_path / "s-{shard}.esrd")).shard_paths[0]
+    shard = open(path, "rb").read()
+    assert wire.FrameReader(io.BytesIO(frame).readinto).read_frame()[1] == payload
+    assert records_equal(*recordio.read_shard(path), rec)
+    for pos in flips:
+        bit = 1 << int(rng.integers(0, 8))
+        bad = bytearray(frame)
+        bad[wire.HEADER_LEN + pos] ^= bit
+        with pytest.raises(CorruptionError):
+            wire.FrameReader(io.BytesIO(bad).readinto).read_frame()
+        bad = bytearray(shard)
+        bad[5 + 12 + pos] ^= bit  # past the file header, the length and its CRC
+        (tmp_path / "bad.esrd").write_bytes(bad)
+        with pytest.raises(CorruptionError):
+            list(recordio.read_shard(str(tmp_path / "bad.esrd")))
+
+
 def test_crc32c_rejects_non_contiguous_buffer():
     with pytest.raises(BufferError):
         crc32c(memoryview(bytearray(16))[::2])
@@ -157,6 +237,28 @@ def test_crc32c_kernel_is_built_once_and_then_loaded_from_the_cache(tmp_path, mo
     again = util._load_kernel(tmp_path, util._COMPILER)
     assert again.esf_crc32c(0, b"123456789", 9) == 0xE3069283
     assert list(tmp_path.iterdir()) == [library]
+
+
+def test_crc32c_kernel_is_rebuilt_when_its_source_changes(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    first = util._load_kernel(cache, util._COMPILER)
+    (library,) = cache.iterdir()
+    changed = tmp_path / "crc32c.c"
+    changed.write_text(util._SOURCE.read_text().replace("return ~crc;", "return ~crc ^ 1u;"))
+    monkeypatch.setattr(util, "_SOURCE", changed)
+    builds = []
+    run = util.subprocess.run
+
+    def counting_run(*args, **kwargs):
+        builds.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(util.subprocess, "run", counting_run)
+    again = util._load_kernel(cache, util._COMPILER)
+    assert len(builds) == 1
+    assert again.esf_crc32c(0, b"123456789", 9) == 0xE3069283 ^ 1  # the changed source
+    assert first.esf_crc32c(0, b"123456789", 9) == 0xE3069283
+    assert library in cache.iterdir() and len(list(cache.iterdir())) == 2
 
 
 def test_crc32c_kernel_builds_in_a_temporary_directory_when_the_cache_is_unwritable(tmp_path):

@@ -170,6 +170,32 @@ def test_decode_batch_rejects_inconsistent_dims():
         wire.decode_batch(bytes(bad))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("feature_lengths", -1), ("feature_lengths", "max+1"),
+    ("label_lengths", -1), ("label_lengths", "max+1")])
+def test_decode_batch_rejects_lengths_outside_the_padded_tensor(field, value):
+    batch = random_batch(np.random.default_rng(4), b=3)
+    limit = batch.features.shape[1] if field == "feature_lengths" else batch.labels.shape[1]
+    getattr(batch, field)[1] = limit + 1 if value == "max+1" else value
+    with pytest.raises(FormatError, match="length lies outside"):
+        wire.decode_batch(wire.encode_batch(batch))
+
+
+def test_decode_batch_rejects_label_rows_other_than_the_batch_size():
+    batch = random_batch(np.random.default_rng(6), b=3)
+    batch.labels = batch.labels.reshape(1, -1)  # the same label bytes in one row
+    with pytest.raises(FormatError, match="batch size"):
+        wire.decode_batch(wire.encode_batch(batch))
+
+
+def test_decode_batch_accepts_lengths_at_both_ends_of_the_padded_tensor():
+    batch = random_batch(np.random.default_rng(5), b=2)
+    batch.feature_lengths[:] = (0, batch.features.shape[1])
+    batch.label_lengths[:] = (batch.labels.shape[1], 0)
+    _, back = wire.decode_batch(wire.encode_batch(batch))
+    assert wire.batches_equal(batch, back)
+
+
 def test_encode_frame_rejects_oversized_payload():
     with pytest.raises(ValueError):
         wire.encode_frame(wire.MsgType.BATCH, b"\0" * (wire.MAX_PAYLOAD + 1))
